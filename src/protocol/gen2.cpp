@@ -61,13 +61,28 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
                              Gen2SessionState& session, int macro_slot,
                              Gen2Target target, workload::Rng& rng,
                              const Gen2Options& opt) {
+  Gen2Scratch scratch;
   Gen2RoundResult res;
+  runGen2Round(population, session, macro_slot, target, rng, opt, scratch,
+               res);
+  return res;
+}
+
+void runGen2Round(std::span<const int> population, Gen2SessionState& session,
+                  int macro_slot, Gen2Target target, workload::Rng& rng,
+                  const Gen2Options& opt, Gen2Scratch& scratch,
+                  Gen2RoundResult& res) {
+  std::vector<int> identified = std::move(res.identified);
+  identified.clear();
+  res = Gen2RoundResult{};
+  res.identified = std::move(identified);
   int max_id = -1;
   for (const int t : population) max_id = std::max(max_id, t);
   session.ensure(static_cast<std::size_t>(max_id + 1));
 
   // Participants: tags whose session flag matches the round target.
-  std::vector<int> pending;
+  std::vector<int>& pending = scratch.pending;
+  pending.clear();
   const bool want_b = target == Gen2Target::kB;
   for (const int t : population) {
     if (session.flagB(t) == want_b) {
@@ -80,34 +95,46 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
     // All suppressed: the slot is silent and charges nothing (deviation
     // from the spec's empty Query — see docs/protocol.md).
     res.completed = true;
-    return res;
+    return;
   }
 
-  std::vector<char> acked(session.size(), 0);
   const int k = std::max(1, opt.mpr_k);
   double qfp = clampQ(opt.q0);
   int q = clampQ(opt.q0);
-  std::vector<std::vector<int>> buckets;
-  std::vector<int> backlog;
+  std::vector<int>& backlog = scratch.backlog;
+  std::vector<int>& draw = scratch.draw;
+  std::vector<int>& start = scratch.start;
+  std::vector<int>& flat = scratch.flat;
 
   while (!pending.empty() && res.frames < opt.max_frames &&
          res.micro_slots < opt.max_micro_slots) {
     const int frame = 1 << q;
     ++res.frames;
     res.air_us += opt.t_query_us;
-    buckets.assign(static_cast<std::size_t>(frame), {});
-    for (const int t : pending) {
-      buckets[static_cast<std::size_t>(rng.uniformInt(0, frame - 1))]
-          .push_back(t);
+    // Stable counting sort by drawn micro-slot, one draw per pending tag in
+    // pending order: micro-slot s holds flat[start[s], start[s + 1]).
+    const auto slots = static_cast<std::size_t>(frame);
+    draw.resize(pending.size());
+    start.assign(slots + 2, 0);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      draw[i] = rng.uniformInt(0, frame - 1);
+      ++start[static_cast<std::size_t>(draw[i]) + 2];
+    }
+    for (std::size_t s = 2; s < start.size(); ++s) start[s] += start[s - 1];
+    flat.resize(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      flat[static_cast<std::size_t>(
+          start[static_cast<std::size_t>(draw[i]) + 1]++)] = pending[i];
     }
     backlog.clear();
     int frame_collisions = 0;
     int frame_singles = 0;
     int frame_empties = 0;
     std::size_t s = 0;
-    for (; s < buckets.size(); ++s) {
+    for (; s < slots; ++s) {
       if (res.micro_slots >= opt.max_micro_slots) break;
-      const std::vector<int>& b = buckets[s];
+      const std::span<const int> b(flat.data() + start[s],
+                                   flat.data() + start[s + 1]);
       ++res.micro_slots;
       if (b.empty()) {
         ++res.empties;
@@ -126,10 +153,6 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
           res.mpr_resolved += static_cast<std::int64_t>(b.size());
         }
         for (const int t : b) {
-          if (acked[static_cast<std::size_t>(t)] != 0) {
-            res.double_identified = true;
-          }
-          acked[static_cast<std::size_t>(t)] = 1;
           session.onAck(t, macro_slot, target);
           res.identified.push_back(t);
         }
@@ -137,7 +160,7 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
         ++res.collisions;
         ++frame_collisions;
         res.air_us += opt.t_collision_us;
-        for (const int t : b) backlog.push_back(t);
+        backlog.insert(backlog.end(), b.begin(), b.end());
         if (opt.policy == Gen2Policy::kQAlgorithm) {
           qfp = std::min(15.0, qfp + opt.c);
         }
@@ -153,10 +176,9 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
         }
       }
     }
-    // Tags in slots the aborted/capped frame never reached redraw too.
-    for (; s < buckets.size(); ++s) {
-      for (const int t : buckets[s]) backlog.push_back(t);
-    }
+    // Tags in slots the aborted/capped frame never reached redraw too; those
+    // slots are one contiguous tail of `flat`.
+    backlog.insert(backlog.end(), flat.begin() + start[s], flat.end());
     pending.swap(backlog);
 
     if (opt.policy == Gen2Policy::kAfsa && !pending.empty()) {
@@ -182,6 +204,13 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
     }
   }
   res.completed = pending.empty();
+  // Self-check keyed by tag id: a tag acknowledged twice shows up as two
+  // equal neighbours once the round's identifications are sorted.
+  std::vector<int>& sorted = scratch.sorted;
+  sorted.assign(res.identified.begin(), res.identified.end());
+  std::sort(sorted.begin(), sorted.end());
+  res.double_identified =
+      std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
 
   if (opt.metrics != nullptr) {
     opt.metrics->counter("protocol.gen2.frames").add(res.frames);
@@ -199,7 +228,6 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
     opt.metrics->counter("protocol.gen2.double_identifications")
         .add(res.double_identified ? 1 : 0);
   }
-  return res;
 }
 
 }  // namespace rfid::protocol

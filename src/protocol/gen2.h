@@ -139,14 +139,36 @@ struct Gen2RoundResult {
   bool double_identified = false;
 };
 
+/// Buffers a round reuses instead of allocating: once they have grown to
+/// the largest population and frame seen, a round allocates nothing.  One
+/// per thread; the contents between rounds are meaningless.
+struct Gen2Scratch {
+  std::vector<int> pending;
+  std::vector<int> backlog;
+  std::vector<int> draw;    // micro-slot drawn by pending[i]
+  std::vector<int> start;   // micro-slot s holds flat[start[s], start[s+1])
+  std::vector<int> flat;    // pending, stably sorted by drawn micro-slot
+  std::vector<int> sorted;  // identified, sorted for the duplicate check
+};
+
 /// Runs one inventory round: every tag in `population` whose session flag
 /// matches the target participates; the round ends when all participants are
 /// identified or a safety cap fires.  Flags in `session` are updated via
 /// onAck; the caller applies `startSlot` decay once per macro-slot (not per
 /// round).  Deterministic in (population order, session state, rng seed).
+/// Costs O(population + frame sizes); nothing is sized by the tag universe.
+/// Rounds over disjoint populations may run concurrently on one `session`
+/// provided it already covers every tag id (ensure() then never resizes).
 Gen2RoundResult runGen2Round(std::span<const int> population,
                              Gen2SessionState& session, int macro_slot,
                              Gen2Target target, workload::Rng& rng,
                              const Gen2Options& opt = {});
+
+/// The same round, writing into `out` (reset first, its `identified`
+/// capacity kept) and drawing its buffers from `scratch`.
+void runGen2Round(std::span<const int> population, Gen2SessionState& session,
+                  int macro_slot, Gen2Target target, workload::Rng& rng,
+                  const Gen2Options& opt, Gen2Scratch& scratch,
+                  Gen2RoundResult& out);
 
 }  // namespace rfid::protocol

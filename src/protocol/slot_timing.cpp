@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <sstream>
+#include <numeric>
+#include <string>
+#include <thread>
 
+#include "analysis/parallel.h"
 #include "protocol/aloha.h"
 #include "protocol/tree_walking.h"
 
@@ -91,148 +94,33 @@ bool parseLink(std::string_view text, Link& out) {
 
 namespace {
 
-LinkTimingResult timeScheduleGen2(core::System& sys,
-                                  const sched::McsResult& schedule,
-                                  const LinkOptions& opt, workload::Rng& rng) {
-  LinkTimingResult res;
-  res.link = Link::kGen2;
-  sys.resetReads();
+/// Rounds take microseconds: fewer readers per worker cost more than a thread.
+constexpr int kMinReadersPerWorker = 64;
 
-  const std::size_t n = static_cast<std::size_t>(sys.numTags());
-  // The replay never marks reads on `sys`, so wellCoveredTags yields each
-  // slot's *physical* population (stale repliers included); the schedule's
-  // own read-state is tracked locally to tell fresh reads from stale ones.
-  std::vector<char> mcs_read(n, 0);
-  std::vector<int> last_ident(n, std::numeric_limits<int>::min() / 2);
-  std::vector<int> owner_pos(static_cast<std::size_t>(sys.numReaders()), -1);
-  Gen2SessionState session;
-  session.ensure(n);
-
-  Gen2Options round_opt = opt.gen2;
-  round_opt.metrics = nullptr;  // aggregate once below
-  const int persist = persistenceSlots(round_opt);
-  const bool persistence_check =
-      !round_opt.alternate_target && (round_opt.session == Gen2Session::kS2 ||
-                                      round_opt.session == Gen2Session::kS3);
-
-  std::vector<std::vector<int>> pops;
-  const auto fail = [&res](const std::string& why) {
-    if (res.check_ok) {
-      res.check_ok = false;
-      res.check_detail = why;
-    }
-  };
-
-  int slot_idx = 0;
-  for (const sched::SlotRecord& slot : schedule.schedule) {
-    session.startSlot(slot_idx, round_opt);
-    // The co-simulation pins target A: alternating targets would suppress
-    // fresh tags every other macro-slot, which the covering schedule's
-    // read requirement cannot absorb (docs/protocol.md).
-    const Gen2Target target = Gen2Target::kA;
-
-    const std::vector<int> phys = sys.wellCoveredTags(slot.active);
-    // Group the physical population by its unique radiating owner.
-    pops.assign(slot.active.size(), {});
-    for (std::size_t i = 0; i < slot.active.size(); ++i) {
-      owner_pos[static_cast<std::size_t>(slot.active[i])] =
-          static_cast<int>(i);
-    }
-    for (const int t : phys) {
-      for (const int v : sys.coverers(t)) {
-        const int pos = owner_pos[static_cast<std::size_t>(v)];
-        if (pos >= 0) {
-          pops[static_cast<std::size_t>(pos)].push_back(t);
-          break;  // exactly-one coverage ⇒ unique active coverer
-        }
-      }
-    }
-    for (const int v : slot.active) {
-      owner_pos[static_cast<std::size_t>(v)] = -1;
-    }
-
-    std::int64_t slot_max_us = 0;
-    std::int64_t slot_max_micro = 0;
-    int fresh_this_slot = 0;
-    for (std::size_t i = 0; i < slot.active.size(); ++i) {
-      if (pops[i].empty()) continue;
-      const int v = slot.active[i];
-      workload::Rng reader_rng =
-          rng.split("gen2.slot", static_cast<std::uint64_t>(slot_idx))
-              .split("gen2.reader", static_cast<std::uint64_t>(v));
-      const Gen2RoundResult r = runGen2Round(pops[i], session, slot_idx,
-                                             target, reader_rng, round_opt);
-      slot_max_us = std::max(slot_max_us, r.air_us);
-      slot_max_micro = std::max(slot_max_micro, r.micro_slots);
-      res.micro_slots_serial += r.micro_slots;
-      res.air_us_serial += r.air_us;
-      res.frames += r.frames;
-      res.session_skips += r.session_skips;
-      res.identified += static_cast<std::int64_t>(r.identified.size());
-      if (r.double_identified) {
-        ++res.double_identifications;
-        std::ostringstream os;
-        os << "gen2: reader " << v << " acknowledged a tag twice in one "
-           << "round (slot " << slot_idx << ")";
-        fail(os.str());
-      }
-      if (!r.completed) {
-        std::ostringstream os;
-        os << "gen2: reader " << v << " round incomplete at slot " << slot_idx
-           << " (safety cap hit with repliers unresolved)";
-        fail(os.str());
-      }
-      for (const int t : r.identified) {
-        const auto ti = static_cast<std::size_t>(t);
-        if (persistence_check && slot_idx - last_ident[ti] <= persist) {
-          std::ostringstream os;
-          os << "gen2: tag " << t << " re-identified at slot " << slot_idx
-             << ", " << (slot_idx - last_ident[ti])
-             << " slot(s) after its last read, inside the session "
-             << "persistence window (" << persist << ")";
-          fail(os.str());
-        }
-        last_ident[ti] = slot_idx;
-        if (mcs_read[ti] != 0) {
-          ++res.stale_repliers;
-        } else {
-          mcs_read[ti] = 1;
-          ++fresh_this_slot;
-        }
-      }
-    }
-    if (fresh_this_slot != slot.tags_read) {
-      std::ostringstream os;
-      os << "gen2: slot " << slot_idx << " identified " << fresh_this_slot
-         << " fresh tag(s) but the schedule recorded " << slot.tags_read;
-      fail(os.str());
-    }
-    res.air_us += slot_max_us;
-    res.micro_slots += slot_max_micro;
-    res.tags_read += fresh_this_slot;
-    ++res.macro_slots;
-    ++slot_idx;
+/// Records the first check failure only: it names the earliest violation.
+void failOnce(LinkTimingResult& res, const std::string& why) {
+  if (res.check_ok) {
+    res.check_ok = false;
+    res.check_detail = why;
   }
-  // Leave `sys` fully re-marked, matching the timeSchedule contract.
-  for (std::size_t t = 0; t < n; ++t) {
-    if (mcs_read[t] != 0) sys.markRead(static_cast<int>(t));
-  }
+}
 
-  if (opt.metrics != nullptr) {
-    obs::MetricsRegistry& m = *opt.metrics;
-    m.counter("protocol.gen2.macro_slots").add(res.macro_slots);
-    m.counter("protocol.gen2.frames").add(res.frames);
-    m.counter("protocol.gen2.micro_slots").add(res.micro_slots_serial);
-    m.counter("protocol.gen2.air_us").add(res.air_us);
-    m.counter("protocol.gen2.air_us_serial").add(res.air_us_serial);
-    m.counter("protocol.gen2.tags_identified").add(res.identified);
-    m.counter("protocol.gen2.fresh_reads").add(res.tags_read);
-    m.counter("protocol.gen2.session_skips").add(res.session_skips);
-    m.counter("protocol.gen2.stale_repliers").add(res.stale_repliers);
-    m.counter("protocol.gen2.double_identifications")
-        .add(res.double_identifications);
+void flushGen2Counters(const LinkTimingResult& res, obs::MetricsRegistry* m,
+                       bool with_stale) {
+  if (m == nullptr) return;
+  m->counter("protocol.gen2.macro_slots").add(res.macro_slots);
+  m->counter("protocol.gen2.frames").add(res.frames);
+  m->counter("protocol.gen2.micro_slots").add(res.micro_slots_serial);
+  m->counter("protocol.gen2.air_us").add(res.air_us);
+  m->counter("protocol.gen2.air_us_serial").add(res.air_us_serial);
+  m->counter("protocol.gen2.tags_identified").add(res.identified);
+  m->counter("protocol.gen2.fresh_reads").add(res.tags_read);
+  m->counter("protocol.gen2.session_skips").add(res.session_skips);
+  if (with_stale) {
+    m->counter("protocol.gen2.stale_repliers").add(res.stale_repliers);
   }
-  return res;
+  m->counter("protocol.gen2.double_identifications")
+      .add(res.double_identifications);
 }
 
 }  // namespace
@@ -240,11 +128,31 @@ LinkTimingResult timeScheduleGen2(core::System& sys,
 LinkTimingResult timeScheduleLink(core::System& sys,
                                   const sched::McsResult& schedule,
                                   const LinkOptions& opt, workload::Rng rng) {
-  if (opt.link == Link::kGen2) {
-    return timeScheduleGen2(sys, schedule, opt, rng);
-  }
   LinkTimingResult res;
   res.link = opt.link;
+  if (opt.link == Link::kGen2) {
+    sys.resetReads();
+    const std::size_t n = static_cast<std::size_t>(sys.numTags());
+    // The replay never marks reads on `sys`, so wellCoveredTags yields each
+    // slot's *physical* population (stale repliers included); the ledger
+    // tracks the schedule's own read-state to tell fresh reads from stale.
+    Gen2SlotReplayer::Ledger ledger{
+        std::vector<char>(n, 0),
+        std::vector<int>(n, std::numeric_limits<int>::min() / 2)};
+    Gen2SlotReplayer replayer(sys, opt.gen2, opt.num_threads);
+    int slot_idx = 0;
+    for (const sched::SlotRecord& slot : schedule.schedule) {
+      replayer.replay(slot_idx++, slot.active,
+                      sys.wellCoveredTags(slot.active), slot.tags_read, rng,
+                      &ledger, res);
+    }
+    // Leave `sys` fully re-marked, matching the timeSchedule contract.
+    for (std::size_t t = 0; t < n; ++t) {
+      if (ledger.read[t] != 0) sys.markRead(static_cast<int>(t));
+    }
+    flushGen2Counters(res, opt.metrics, /*with_stale=*/true);
+    return res;
+  }
   if (opt.link == Link::kUnit) {
     // The paper's unit-cost slot: one micro-slot per macro-slot.  Replay
     // only to recover the tag count; no link state, no air-time model.
@@ -271,90 +179,180 @@ LinkTimingResult timeScheduleLink(core::System& sys,
   return res;
 }
 
-Gen2LinkTimer::Gen2LinkTimer(const core::System& sys, const Gen2Options& opt,
-                             workload::Rng rng)
-    : sys_(&sys), opt_(opt), rng_(rng) {
-  opt_.metrics = nullptr;  // aggregated via flushMetrics
+Gen2SlotReplayer::Gen2SlotReplayer(const core::System& sys,
+                                   const Gen2Options& opt, int num_threads)
+    : sys_(&sys),
+      opt_(opt),
+      threads_(std::max(1, num_threads > 0
+                               ? num_threads
+                               : static_cast<int>(
+                                     std::thread::hardware_concurrency()))),
+      persist_(persistenceSlots(opt)),
+      persistence_check_(!opt.alternate_target &&
+                         (opt.session == Gen2Session::kS2 ||
+                          opt.session == Gen2Session::kS3)),
+      owner_pos_(static_cast<std::size_t>(sys.numReaders()), -1) {
+  opt_.metrics = nullptr;  // totals are flushed once per run
   opt_.trace = nullptr;
-  res_.link = Link::kGen2;
-  owner_pos_.assign(static_cast<std::size_t>(sys.numReaders()), -1);
+  // Sized before any fan-out, so rounds never resize it concurrently.
   session_.ensure(static_cast<std::size_t>(sys.numTags()));
 }
 
-void Gen2LinkTimer::onSlot(int slot, std::span<const int> active,
-                           std::span<const int> served) {
+void Gen2SlotReplayer::replay(int slot, std::span<const int> active,
+                              std::span<const int> population, int credited,
+                              const workload::Rng& rng, Ledger* ledger,
+                              LinkTimingResult& res) {
   session_.startSlot(slot, opt_);
-  pops_.assign(active.size(), {});
-  for (std::size_t i = 0; i < active.size(); ++i) {
+
+  // Group the population by its unique active owner: a stable counting
+  // sort, so each owner's tags keep population order.
+  const std::size_t na = active.size();
+  for (std::size_t i = 0; i < na; ++i) {
     owner_pos_[static_cast<std::size_t>(active[i])] = static_cast<int>(i);
   }
-  for (const int t : served) {
-    for (const int v : sys_->coverers(t)) {
+  owner_of_.assign(population.size(), -1);
+  pop_start_.assign(na + 2, 0);
+  for (std::size_t j = 0; j < population.size(); ++j) {
+    for (const int v : sys_->coverers(population[j])) {
       const int pos = owner_pos_[static_cast<std::size_t>(v)];
       if (pos >= 0) {
-        pops_[static_cast<std::size_t>(pos)].push_back(t);
+        owner_of_[j] = pos;
+        ++pop_start_[static_cast<std::size_t>(pos) + 2];
         break;  // exactly-one coverage ⇒ unique active coverer
       }
     }
   }
   for (const int v : active) owner_pos_[static_cast<std::size_t>(v)] = -1;
+  std::partial_sum(pop_start_.begin(), pop_start_.end(), pop_start_.begin());
+  pop_.resize(static_cast<std::size_t>(pop_start_.back()));
+  for (std::size_t j = 0; j < population.size(); ++j) {
+    if (owner_of_[j] < 0) continue;
+    pop_[static_cast<std::size_t>(
+        pop_start_[static_cast<std::size_t>(owner_of_[j]) + 1]++)] =
+        population[j];
+  }
 
+  const int n = static_cast<int>(na);
+  const int workers = std::clamp(
+      (n + kMinReadersPerWorker - 1) / kMinReadersPerWorker, 1, threads_);
+  // One reduction per worker, over its contiguous chunk of the active set;
+  // air_us/micro_slots hold the chunk's maxes, tags_read its fresh reads.
+  std::vector<LinkTimingResult> partials(static_cast<std::size_t>(workers));
+  const workload::Rng slot_rng =
+      rng.split("gen2.slot", static_cast<std::uint64_t>(slot));
+  analysis::parallelForChunks(
+      0, n,
+      [&](int worker, int lo, int hi) {
+        replayChunk(lo, hi, slot, active, slot_rng, ledger,
+                    partials[static_cast<std::size_t>(worker)]);
+      },
+      workers);
+
+  // Merge in worker order: worker w holds a lower active range than w + 1.
   std::int64_t slot_max_us = 0;
   std::int64_t slot_max_micro = 0;
-  std::int64_t identified = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (pops_[i].empty()) continue;
-    const int v = active[i];
+  int fresh = 0;
+  for (const LinkTimingResult& p : partials) {
+    slot_max_us = std::max(slot_max_us, p.air_us);
+    slot_max_micro = std::max(slot_max_micro, p.micro_slots);
+    res.micro_slots_serial += p.micro_slots_serial;
+    res.air_us_serial += p.air_us_serial;
+    res.frames += p.frames;
+    res.session_skips += p.session_skips;
+    res.identified += p.identified;
+    res.stale_repliers += p.stale_repliers;
+    res.double_identifications += p.double_identifications;
+    // Without a ledger (the stream) every identification is a fresh read.
+    fresh += ledger != nullptr ? p.tags_read : static_cast<int>(p.identified);
+    if (!p.check_ok) failOnce(res, p.check_detail);
+  }
+  if (fresh != credited) {
+    failOnce(res, "gen2: slot " + std::to_string(slot) + " identified " +
+                      std::to_string(fresh) +
+                      " fresh tag(s) but the schedule recorded " +
+                      std::to_string(credited));
+  }
+  res.tags_read += fresh;
+  res.air_us += slot_max_us;
+  res.micro_slots += slot_max_micro;
+  ++res.macro_slots;
+}
+
+void Gen2SlotReplayer::replayChunk(int lo, int hi, int slot,
+                                   std::span<const int> active,
+                                   const workload::Rng& slot_rng,
+                                   Ledger* ledger, LinkTimingResult& p) {
+  Gen2Scratch scratch;  // reused by every round of the chunk
+  Gen2RoundResult r;
+  for (int i = lo; i < hi; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const std::span<const int> pop(pop_.data() + pop_start_[ii],
+                                   pop_.data() + pop_start_[ii + 1]);
+    if (pop.empty()) continue;
+    const int v = active[ii];
     workload::Rng reader_rng =
-        rng_.split("gen2.slot", static_cast<std::uint64_t>(slot))
-            .split("gen2.reader", static_cast<std::uint64_t>(v));
-    const Gen2RoundResult r = runGen2Round(pops_[i], session_, slot,
-                                           Gen2Target::kA, reader_rng, opt_);
-    slot_max_us = std::max(slot_max_us, r.air_us);
-    slot_max_micro = std::max(slot_max_micro, r.micro_slots);
-    res_.micro_slots_serial += r.micro_slots;
-    res_.air_us_serial += r.air_us;
-    res_.frames += r.frames;
-    res_.session_skips += r.session_skips;
-    identified += static_cast<std::int64_t>(r.identified.size());
-    if (r.double_identified) ++res_.double_identifications;
-    if ((r.double_identified || !r.completed) && res_.check_ok) {
-      std::ostringstream os;
-      os << "gen2: reader " << v << " at stream slot " << slot << " "
-         << (r.double_identified ? "acknowledged a tag twice in one round"
-                                 : "round incomplete (safety cap hit)");
-      res_.check_ok = false;
-      res_.check_detail = os.str();
+        slot_rng.split("gen2.reader", static_cast<std::uint64_t>(v));
+    // The co-simulation pins target A: alternating targets would suppress
+    // fresh tags every other macro-slot, which the covering schedule's
+    // read requirement cannot absorb (docs/protocol.md).
+    runGen2Round(pop, session_, slot, Gen2Target::kA, reader_rng, opt_,
+                 scratch, r);
+    p.air_us = std::max(p.air_us, r.air_us);
+    p.micro_slots = std::max(p.micro_slots, r.micro_slots);
+    p.micro_slots_serial += r.micro_slots;
+    p.air_us_serial += r.air_us;
+    p.frames += r.frames;
+    p.session_skips += r.session_skips;
+    p.identified += static_cast<std::int64_t>(r.identified.size());
+    if (r.double_identified) {
+      ++p.double_identifications;
+      failOnce(p, "gen2: reader " + std::to_string(v) +
+                      " acknowledged a tag twice in one round (slot " +
+                      std::to_string(slot) + ")");
+    }
+    if (!r.completed) {
+      failOnce(p, "gen2: reader " + std::to_string(v) +
+                      " round incomplete at slot " + std::to_string(slot) +
+                      " (safety cap hit with repliers unresolved)");
+    }
+    if (ledger == nullptr) continue;
+    // Populations are disjoint, so no other worker touches these tags.
+    for (const int t : r.identified) {
+      const auto ti = static_cast<std::size_t>(t);
+      int& last = ledger->last_ident[ti];
+      if (persistence_check_ && slot - last <= persist_) {
+        failOnce(p, "gen2: tag " + std::to_string(t) +
+                        " re-identified at slot " + std::to_string(slot) +
+                        ", " + std::to_string(slot - last) +
+                        " slot(s) after its last read, inside the session "
+                        "persistence window (" +
+                        std::to_string(persist_) + ")");
+      }
+      last = slot;
+      if (ledger->read[ti] != 0) {
+        ++p.stale_repliers;
+      } else {
+        ledger->read[ti] = 1;
+        ++p.tags_read;
+      }
     }
   }
-  if (identified != static_cast<std::int64_t>(served.size()) &&
-      res_.check_ok) {
-    std::ostringstream os;
-    os << "gen2: stream slot " << slot << " identified " << identified
-       << " tag(s) but the driver served " << served.size();
-    res_.check_ok = false;
-    res_.check_detail = os.str();
-  }
-  res_.identified += identified;
-  res_.tags_read += static_cast<int>(served.size());
-  res_.air_us += slot_max_us;
-  res_.micro_slots += slot_max_micro;
-  ++res_.macro_slots;
+}
+
+Gen2LinkTimer::Gen2LinkTimer(const core::System& sys, const Gen2Options& opt,
+                             workload::Rng rng)
+    : rng_(rng), replayer_(sys, opt, /*num_threads=*/1) {
+  res_.link = Link::kGen2;
+}
+
+void Gen2LinkTimer::onSlot(int slot, std::span<const int> active,
+                           std::span<const int> served) {
+  replayer_.replay(slot, active, served, static_cast<int>(served.size()), rng_,
+                   nullptr, res_);
 }
 
 void Gen2LinkTimer::flushMetrics(obs::MetricsRegistry* metrics) const {
-  if (metrics == nullptr) return;
-  obs::MetricsRegistry& m = *metrics;
-  m.counter("protocol.gen2.macro_slots").add(res_.macro_slots);
-  m.counter("protocol.gen2.frames").add(res_.frames);
-  m.counter("protocol.gen2.micro_slots").add(res_.micro_slots_serial);
-  m.counter("protocol.gen2.air_us").add(res_.air_us);
-  m.counter("protocol.gen2.air_us_serial").add(res_.air_us_serial);
-  m.counter("protocol.gen2.tags_identified").add(res_.identified);
-  m.counter("protocol.gen2.fresh_reads").add(res_.tags_read);
-  m.counter("protocol.gen2.session_skips").add(res_.session_skips);
-  m.counter("protocol.gen2.double_identifications")
-      .add(res_.double_identifications);
+  flushGen2Counters(res_, metrics, /*with_stale=*/false);
 }
 
 }  // namespace rfid::protocol

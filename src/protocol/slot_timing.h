@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/system.h"
 #include "protocol/gen2.h"
@@ -78,6 +79,10 @@ struct LinkOptions {
   std::int64_t t_micro_us = 250;
   /// Optional: receives the `protocol.gen2.*` counter family (gen2 link).
   obs::MetricsRegistry* metrics = nullptr;
+  /// Worker threads for the gen2 replay's per-slot round fan-out (0 =
+  /// hardware concurrency, as in GrowthOptions/PtasOptions).  Results are
+  /// identical at every count.
+  int num_threads = 0;
 };
 
 struct LinkTimingResult {
@@ -115,6 +120,57 @@ LinkTimingResult timeScheduleLink(core::System& sys,
                                   const sched::McsResult& schedule,
                                   const LinkOptions& opt, workload::Rng rng);
 
+/// One macro-slot of the Gen2 co-simulation, shared by timeScheduleLink and
+/// Gen2LinkTimer.  It owns the run's session state (sized to every tag up
+/// front), groups a slot's population by its unique active owner, runs each
+/// owner's round with an RNG keyed (seed, slot, reader), and folds the
+/// rounds into a LinkTimingResult.  Rounds fan out over contiguous chunks
+/// of the active set; populations are disjoint, so each worker reduces its
+/// own chunk, and chunks merge in worker order — totals, maxes and the first
+/// check failure equal a serial replay's at every thread count.
+class Gen2SlotReplayer {
+ public:
+  /// The batch replay's per-tag read state: tells fresh reads from stale
+  /// ones and checks session persistence.  The stream keeps none.
+  struct Ledger {
+    std::vector<char> read;
+    std::vector<int> last_ident;
+  };
+
+  /// `opt`'s metrics/trace members are ignored; `num_threads` as in
+  /// LinkOptions.
+  Gen2SlotReplayer(const core::System& sys, const Gen2Options& opt,
+                   int num_threads);
+
+  /// Replays macro-slot `slot` over `population` (tags with exactly one
+  /// active coverer; others are ignored), adding to `res` its rounds'
+  /// totals, the slot's max air-time and micro-slots, its fresh reads, and
+  /// the first check failure.  With `ledger`, every identification is
+  /// classed fresh or stale and persistence-checked; without one, every
+  /// identification is fresh.  Fails the check unless the fresh reads equal
+  /// `credited`, the tags the schedule credits to this slot.
+  void replay(int slot, std::span<const int> active,
+              std::span<const int> population, int credited,
+              const workload::Rng& rng, Ledger* ledger,
+              LinkTimingResult& res);
+
+ private:
+  void replayChunk(int lo, int hi, int slot, std::span<const int> active,
+                   const workload::Rng& slot_rng, Ledger* ledger,
+                   LinkTimingResult& partial);
+
+  const core::System* sys_;
+  Gen2Options opt_;
+  int threads_;
+  int persist_;
+  bool persistence_check_;
+  Gen2SessionState session_;
+  std::vector<int> owner_pos_;  // reader → index in the slot's active set
+  std::vector<int> owner_of_;   // population[i] → index in the active set
+  std::vector<int> pop_start_;  // owner i: pop_[pop_start_[i], ..[i + 1])
+  std::vector<int> pop_;
+};
+
 /// Online Gen2 co-simulation for the streaming driver: wire `onSlot` to
 /// StreamingOptions::on_commit and every committed busy slot is arbitrated
 /// as it lands.  Streamed populations are the slot's *served* tags (all
@@ -123,7 +179,7 @@ LinkTimingResult timeScheduleLink(core::System& sys,
 /// cannot be replayed after the fact.  Session flags still carry across
 /// slots; totals and self-check verdicts accumulate in result().  The
 /// observer never mutates the system, and resume replays re-feed it
-/// identically, so totals match an uninterrupted run.
+/// identically, so totals match an uninterrupted run.  Single-threaded.
 class Gen2LinkTimer {
  public:
   Gen2LinkTimer(const core::System& sys, const Gen2Options& opt,
@@ -135,12 +191,8 @@ class Gen2LinkTimer {
   void flushMetrics(obs::MetricsRegistry* metrics) const;
 
  private:
-  const core::System* sys_;
-  Gen2Options opt_;
   workload::Rng rng_;
-  Gen2SessionState session_;
-  std::vector<int> owner_pos_;
-  std::vector<std::vector<int>> pops_;
+  Gen2SlotReplayer replayer_;
   LinkTimingResult res_;
 };
 

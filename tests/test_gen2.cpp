@@ -2,7 +2,9 @@
 // (protocol/gen2.h, protocol/slot_timing.h; docs/protocol.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/interference_graph.h"
@@ -197,6 +199,65 @@ TEST(Gen2, MprShortensRounds) {
   EXPECT_LT(mpr_us, base_us);
 }
 
+// --- Round self-checks and scratch reuse ------------------------------------
+
+// The double-identification check is keyed by tag id: a population that
+// lists one id twice puts two independent repliers behind the same tag, and
+// both copies get acknowledged.  With MPR both copies may resolve in one
+// micro-slot; the check must fire either way.
+TEST(Gen2, DuplicateTagIdInPopulationIsDoubleIdentified) {
+  const std::vector<int> pop = {3, 7, 3, 11, 0};
+  for (const int k : {1, 4}) {
+    for (const std::uint64_t seed : test::seedRange(1, test::iterBudget(4))) {
+      Gen2Options opt;
+      opt.mpr_k = k;
+      Gen2SessionState st;
+      workload::Rng rng(seed);
+      const Gen2RoundResult r =
+          runGen2Round(pop, st, 0, Gen2Target::kA, rng, opt);
+      EXPECT_TRUE(r.completed) << "k=" << k << " seed=" << seed;
+      EXPECT_EQ(r.identified.size(), pop.size());
+      EXPECT_TRUE(r.double_identified) << "k=" << k << " seed=" << seed;
+    }
+  }
+  Gen2SessionState st;
+  workload::Rng rng(1);
+  EXPECT_FALSE(runGen2Round(std::vector<int>{3, 7, 11, 0}, st, 0,
+                            Gen2Target::kA, rng)
+                   .double_identified);
+}
+
+// Rounds sharing one Gen2Scratch and one result object are bit-identical to
+// rounds that allocate afresh, whatever sizes the previous round left in
+// the buffers.
+TEST(Gen2, ScratchReuseMatchesFreshRounds) {
+  Gen2Options opt;
+  opt.session = Gen2Session::kS0;
+  protocol::Gen2Scratch scratch;
+  Gen2RoundResult reused;
+  Gen2SessionState sa, sb;
+  workload::Rng ra(8), rb(8);
+  int slot = 0;
+  for (const int n : {200, 3, 0, 64, 1, 150, 17}) {
+    sa.startSlot(slot, opt);
+    sb.startSlot(slot, opt);
+    const Gen2RoundResult fresh =
+        runGen2Round(iota(n), sa, slot, Gen2Target::kA, ra, opt);
+    runGen2Round(iota(n), sb, slot, Gen2Target::kA, rb, opt, scratch,
+                 reused);
+    EXPECT_EQ(reused.identified, fresh.identified) << "n=" << n;
+    EXPECT_EQ(reused.frames, fresh.frames) << "n=" << n;
+    EXPECT_EQ(reused.adjusts, fresh.adjusts) << "n=" << n;
+    EXPECT_EQ(reused.micro_slots, fresh.micro_slots) << "n=" << n;
+    EXPECT_EQ(reused.collisions, fresh.collisions) << "n=" << n;
+    EXPECT_EQ(reused.empties, fresh.empties) << "n=" << n;
+    EXPECT_EQ(reused.air_us, fresh.air_us) << "n=" << n;
+    EXPECT_EQ(reused.completed, fresh.completed) << "n=" << n;
+    EXPECT_FALSE(reused.double_identified);
+    ++slot;
+  }
+}
+
 // --- Aloha frame re-size fix --------------------------------------------
 
 // Degenerate caller bounds must not produce F = 0 frames.  Pre-fix,
@@ -324,33 +385,97 @@ TEST(LinkTiming, Gen2ReplayIdentifiesEveryScheduledTag) {
   }
 }
 
-// Seed-determinism across scheduler thread counts: the schedule is
-// bit-identical at any --threads (the PR4 contract), and the link replay
-// derives all randomness from (seed, slot, reader) — so the seconds
-// objective is identical too.
+void expectSameLinkTiming(const protocol::LinkTimingResult& a,
+                          const protocol::LinkTimingResult& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.link, b.link) << label;
+  EXPECT_EQ(a.macro_slots, b.macro_slots) << label;
+  EXPECT_EQ(a.micro_slots, b.micro_slots) << label;
+  EXPECT_EQ(a.air_us, b.air_us) << label;
+  EXPECT_EQ(a.micro_slots_serial, b.micro_slots_serial) << label;
+  EXPECT_EQ(a.air_us_serial, b.air_us_serial) << label;
+  EXPECT_EQ(a.tags_read, b.tags_read) << label;
+  EXPECT_EQ(a.frames, b.frames) << label;
+  EXPECT_EQ(a.identified, b.identified) << label;
+  EXPECT_EQ(a.session_skips, b.session_skips) << label;
+  EXPECT_EQ(a.stale_repliers, b.stale_repliers) << label;
+  EXPECT_EQ(a.double_identifications, b.double_identifications) << label;
+  EXPECT_EQ(a.check_ok, b.check_ok) << label;
+  EXPECT_EQ(a.check_detail, b.check_detail) << label;
+}
+
+// Seed-determinism across thread counts, for both the scheduler (the PR4
+// contract: the schedule is bit-identical at any thread count) and the
+// replay's own per-slot round fan-out.  All link randomness derives from
+// (seed, slot, reader) and worker chunks merge in active order, so every
+// LinkTimingResult field — the first check failure included — is identical.
+// The deployment is large enough that its busiest slot has several hundred
+// active readers, so every thread count splits that slot into as many
+// chunks as it has threads.
 TEST(LinkTiming, Gen2ReplayDeterministicAcrossThreadCounts) {
   const std::uint64_t seed = 77;
-  auto run = [&](int threads) {
-    core::System sys = test::smallRandomSystem(seed, 14, 90, 50.0);
+  core::System base = test::smallRandomSystem(seed, 1500, 12000, 520.0);
+  struct Config {
+    const char* name;
+    Gen2Options gen2;
+  };
+  std::vector<Config> configs(6);
+  configs[0].name = "qalg";
+  configs[1].name = "afsa";
+  configs[1].gen2.policy = Gen2Policy::kAfsa;
+  configs[2].name = "mpr2";
+  configs[2].gen2.mpr_k = 2;
+  configs[3].name = "s0";
+  configs[3].gen2.session = Gen2Session::kS0;
+  configs[4].name = "s2";
+  configs[4].gen2.session = Gen2Session::kS2;
+  configs[4].gen2.persistence = 2;
+  configs[5].name = "max_frames=1";  // every multi-tag round fails
+  configs[5].gen2.max_frames = 1;
+
+  std::vector<sched::McsResult> schedules;
+  for (const int threads : {1, 2, 4, 0}) {
+    core::System sys = base;
     const graph::InterferenceGraph g(sys);
     sched::GrowthOptions go;
     go.num_threads = threads;
     sched::GrowthScheduler alg2(g, go);
-    const sched::McsResult res = sched::runCoveringSchedule(sys, alg2);
-    protocol::LinkOptions lo;
-    lo.link = protocol::Link::kGen2;
-    return protocol::timeScheduleLink(sys, res, lo, workload::Rng(seed));
-  };
-  const protocol::LinkTimingResult one = run(1);
-  const protocol::LinkTimingResult four = run(4);
-  EXPECT_EQ(one.air_us, four.air_us);
-  EXPECT_EQ(one.air_us_serial, four.air_us_serial);
-  EXPECT_EQ(one.micro_slots, four.micro_slots);
-  EXPECT_EQ(one.tags_read, four.tags_read);
-  EXPECT_EQ(one.frames, four.frames);
-  EXPECT_EQ(one.session_skips, four.session_skips);
-  EXPECT_TRUE(one.check_ok);
-  EXPECT_TRUE(four.check_ok);
+    schedules.push_back(sched::runCoveringSchedule(sys, alg2));
+    EXPECT_EQ(schedules.back().schedule.size(),
+              schedules.front().schedule.size());
+  }
+  std::size_t busiest = 0;
+  for (const sched::SlotRecord& slot : schedules.front().schedule) {
+    busiest = std::max(busiest, slot.active.size());
+  }
+  ASSERT_GT(busiest, 4u * 64u);
+
+  for (const Config& cfg : configs) {
+    std::vector<protocol::LinkTimingResult> runs;
+    std::size_t i = 0;
+    for (const int threads : {1, 2, 4, 0}) {
+      core::System sys = base;
+      protocol::LinkOptions lo;
+      lo.link = protocol::Link::kGen2;
+      lo.gen2 = cfg.gen2;
+      lo.num_threads = threads;
+      runs.push_back(protocol::timeScheduleLink(sys, schedules[i++], lo,
+                                                workload::Rng(seed)));
+      expectSameLinkTiming(runs.front(), runs.back(),
+                           std::string(cfg.name) + " threads=" +
+                               std::to_string(threads));
+    }
+    const protocol::LinkTimingResult& one = runs.front();
+    if (cfg.gen2.max_frames == 1) {
+      EXPECT_FALSE(one.check_ok);
+      EXPECT_NE(one.check_detail.find("round incomplete at slot 0"),
+                std::string::npos)
+          << one.check_detail;
+    } else {
+      EXPECT_TRUE(one.check_ok) << cfg.name << ": " << one.check_detail;
+      EXPECT_EQ(one.tags_read, schedules.front().tags_read) << cfg.name;
+    }
+  }
 }
 
 // Sessions matter end-to-end: under S0 every physically covered tag replies

@@ -82,6 +82,11 @@ mutants=(
   # a collision, so no tag is ever identified; the round burns its frame cap,
   # reports incomplete, and the replay check exits 5.  Deterministic, no UB.
   "gen2-mpr-threshold-off|src/protocol/gen2.cpp|static_cast<int>(b.size()) <= k|static_cast<int>(b.size()) < k"
+  # Gen2 chunk-merge loss: the replay's per-slot fan-out merges one partial
+  # per worker, and this drops the first worker's fresh reads (on the small
+  # gen2 run that is the only worker).  The slot's fresh count then falls
+  # short of the schedule's record and the replay check exits 5.
+  "gen2-drop-chunk-fresh|src/protocol/slot_timing.cpp|fresh += ledger != nullptr|fresh += \&p == \&partials.front() ? 0 : ledger != nullptr"
 )
 
 run_cli() {

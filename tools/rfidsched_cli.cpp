@@ -13,11 +13,13 @@
 //                 [--threads N] [--ref-eval] [--check[=paranoid]]
 //
 // --threads caps the worker threads the parallel schedulers (alg1 shift
-// fan-out, alg2 component fan-out) may use; 0 picks the hardware
-// concurrency.  --ref-eval runs the retained reference selection paths
-// (full rescans, sequential shifts) instead of the lazy/parallel hot paths
-// — the schedules are identical either way (docs/performance.md), the flag
-// exists for benchmarking and equivalence checks.
+// fan-out, alg2 component fan-out) and the --link gen2 replay (per-slot
+// round fan-out) may use; 0 picks the hardware concurrency.  Output is
+// identical at every count.  --ref-eval runs the retained reference
+// selection paths (full rescans, sequential shifts) instead of the
+// lazy/parallel hot paths — the schedules are identical either way
+// (docs/performance.md), the flag exists for benchmarking and equivalence
+// checks.
 //
 // Prints a human-readable report; --svg additionally renders the (first)
 // slot decision.  --save writes the generated deployment to PATH (CSV) and
@@ -208,7 +210,8 @@ void usage() {
       "  --deadline-ms N stop after N ms wall clock with the best-so-far\n"
       "                  schedule (mcs mode only)\n"
       "  --max-slots N   stop after N committed slots (mcs mode only)\n"
-      "  --threads N     worker threads for parallel schedulers (0 = auto)\n"
+      "  --threads N     worker threads for parallel schedulers and the\n"
+      "                  --link gen2 replay (0 = auto)\n"
       "  --ref-eval      use the reference selection paths and the CSR\n"
       "                  reference weight referee (same schedules, no\n"
       "                  lazy/parallel/bitmap speedups; for benchmarking)\n"
@@ -815,6 +818,7 @@ int main(int argc, char** argv) {
       protocol::parseLink(cli.link, lo.link);
       lo.gen2 = buildGen2Options(cli);
       lo.metrics = metrics;
+      lo.num_threads = cli.threads;
       const protocol::LinkTimingResult lt = protocol::timeScheduleLink(
           sys, res, lo, workload::Rng(cli.seed).split("link"));
       std::cout << "link " << linkConfigStr(cli) << ": schedule "
