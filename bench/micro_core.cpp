@@ -3,6 +3,7 @@
 // These are the inner loops every scheduler leans on.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/weight.h"
@@ -20,24 +21,16 @@ workload::Scenario scaled(int readers, int tags) {
   return sc;
 }
 
-void BM_SystemConstruction(benchmark::State& state) {
-  const auto sc = scaled(static_cast<int>(state.range(0)),
-                         static_cast<int>(state.range(0)) * 24);
-  for (auto _ : state) {
-    core::System sys = workload::makeSystem(sc, 1);
-    benchmark::DoNotOptimize(sys.numTags());
-  }
+/// `scaled` with the region grown as √readers, holding the paper's reader
+/// density (50 per 100×100) — the city_scale deployment shape.
+workload::Scenario atPaperDensity(int readers, int tags) {
+  workload::Scenario sc = scaled(readers, tags);
+  sc.deploy.region_side = 100.0 * std::sqrt(readers / 50.0);
+  return sc;
 }
-BENCHMARK(BM_SystemConstruction)->Arg(50)->Arg(200)->Arg(800);
 
-// Construction throughput on a fixed deployment: counting-sort CSR build +
-// Morton SFC reorder + blocked-bitmap build, the per-candidate cost of any
-// outer loop that evaluates many Systems (deployment optimization).
-// BM_SystemConstruction above includes deployment *generation*; this one
-// isolates the index builds.
-void BM_SystemBuild(benchmark::State& state) {
-  const auto sc = scaled(static_cast<int>(state.range(0)),
-                         static_cast<int>(state.range(0)) * 24);
+/// Times `core::System` construction alone on a fixed deployment of `sc`.
+void systemBuild(benchmark::State& state, const workload::Scenario& sc) {
   const core::System proto = workload::makeSystem(sc, 8);
   const std::vector<core::Reader> readers(proto.readers().begin(),
                                           proto.readers().end());
@@ -49,7 +42,38 @@ void BM_SystemBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           (proto.numReaders() + proto.numTags()));
 }
-BENCHMARK(BM_SystemBuild)->Arg(200)->Arg(800)->Arg(4000);
+
+void BM_SystemConstruction(benchmark::State& state) {
+  const auto sc = scaled(static_cast<int>(state.range(0)),
+                         static_cast<int>(state.range(0)) * 24);
+  for (auto _ : state) {
+    core::System sys = workload::makeSystem(sc, 1);
+    benchmark::DoNotOptimize(sys.numTags());
+  }
+}
+BENCHMARK(BM_SystemConstruction)->Arg(50)->Arg(200)->Arg(800);
+
+// Construction throughput on a fixed deployment: spatial grids, counting-
+// sort CSR build + Morton SFC reorder + blocked-bitmap build + interference
+// rows, the per-candidate cost of any outer loop that evaluates many
+// Systems (deployment optimization).  BM_SystemConstruction above includes
+// deployment *generation*; these isolate the index builds.
+//
+// At constant (paper) density, so items/s measures how the build scales: a
+// build linear in readers + tags keeps it flat as n grows.
+void BM_SystemBuild(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  systemBuild(state, atPaperDensity(n, n * 24));
+}
+BENCHMARK(BM_SystemBuild)->Arg(200)->Arg(800)->Arg(4000)->Arg(20000);
+
+// The same build in a fixed 100×100 region: a density sweep, where every
+// disk holds more tags and readers as n grows.
+void BM_SystemBuildDensitySweep(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  systemBuild(state, scaled(n, n * 24));
+}
+BENCHMARK(BM_SystemBuildDensitySweep)->Arg(200)->Arg(800)->Arg(4000);
 
 void BM_SpatialGridQuery(benchmark::State& state) {
   const auto sc = scaled(50, static_cast<int>(state.range(0)));
@@ -157,16 +181,25 @@ void BM_GreedySelectionLazy(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySelectionLazy)->Arg(200)->Arg(800)->Arg(2000);
 
+// Args: readers, then tags for the n=100k/m=1M point, which runs at the
+// paper's density (city_scale's deployment); the small points keep the
+// fixed 100×100 region with as many tags as readers.
 void BM_InterferenceGraphBuild(benchmark::State& state) {
-  const auto sc = scaled(static_cast<int>(state.range(0)),
-                         static_cast<int>(state.range(0)));
+  const auto n = static_cast<int>(state.range(0));
+  const auto sc = state.range(1) == 0
+                      ? scaled(n, n)
+                      : atPaperDensity(n, static_cast<int>(state.range(1)));
   const core::System sys = workload::makeSystem(sc, 5);
   for (auto _ : state) {
     graph::InterferenceGraph g(sys);
     benchmark::DoNotOptimize(g.numEdges());
   }
 }
-BENCHMARK(BM_InterferenceGraphBuild)->Arg(50)->Arg(200)->Arg(800);
+BENCHMARK(BM_InterferenceGraphBuild)
+    ->Args({50, 0})
+    ->Args({200, 0})
+    ->Args({800, 0})
+    ->Args({100000, 1000000});
 
 void BM_SensingGraphBuild(benchmark::State& state) {
   const auto sc = scaled(static_cast<int>(state.range(0)),

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/vec2.h"
@@ -40,10 +42,14 @@ inline std::uint32_t mortonKey(std::uint32_t cx, std::uint32_t cy) {
 /// k-th point along the Z-curve.  Coordinates are quantized to a 2^16 grid
 /// over the bounding box; ties (same cell, degenerate boxes) break by index,
 /// so the permutation is deterministic in the input alone.
+///
+/// Sorts packed `(key << 32) | index` words with a 4-pass LSD radix sort on
+/// the key half: stable, so equal keys keep ascending index order — the
+/// same permutation as a (key, index) comparator sort, in O(n).
 inline std::vector<int> mortonOrder(std::span<const Vec2> points) {
-  std::vector<int> order(points.size());
-  std::iota(order.begin(), order.end(), 0);
-  if (points.size() < 2) return order;
+  const std::size_t n = points.size();
+  assert(n <= 0xffffffffu && "indices are packed into 32 bits");
+  if (n < 2) return std::vector<int>(n, 0);
   double min_x = points[0].x, max_x = points[0].x;
   double min_y = points[0].y, max_y = points[0].y;
   for (const Vec2& p : points) {
@@ -54,17 +60,30 @@ inline std::vector<int> mortonOrder(std::span<const Vec2> points) {
   }
   const double sx = max_x > min_x ? 65535.0 / (max_x - min_x) : 0.0;
   const double sy = max_y > min_y ? 65535.0 / (max_y - min_y) : 0.0;
-  std::vector<std::uint32_t> key(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  std::vector<std::uint64_t> words(n);
+  std::array<std::array<std::uint32_t, 256>, 4> hist{};
+  for (std::size_t i = 0; i < n; ++i) {
     const auto cx = static_cast<std::uint32_t>((points[i].x - min_x) * sx);
     const auto cy = static_cast<std::uint32_t>((points[i].y - min_y) * sy);
-    key[i] = mortonKey(cx, cy);
+    const std::uint32_t key = mortonKey(cx, cy);
+    words[i] = (std::uint64_t{key} << 32) | i;
+    for (std::size_t d = 0; d < 4; ++d) ++hist[d][(key >> (8 * d)) & 0xffu];
   }
-  std::sort(order.begin(), order.end(), [&key](int a, int b) {
-    return key[static_cast<std::size_t>(a)] != key[static_cast<std::size_t>(b)]
-               ? key[static_cast<std::size_t>(a)] < key[static_cast<std::size_t>(b)]
-               : a < b;
-  });
+  std::vector<std::uint64_t> tmp(n);
+  for (std::size_t d = 0; d < 4; ++d) {
+    const unsigned shift = 32 + 8 * static_cast<unsigned>(d);
+    // A digit every key shares leaves the order as it is.
+    if (hist[d][(words[0] >> shift) & 0xffu] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& h : hist[d]) sum += std::exchange(h, sum);
+    for (const std::uint64_t w : words) tmp[hist[d][(w >> shift) & 0xffu]++] = w;
+    words.swap(tmp);
+  }
+  tmp = std::vector<std::uint64_t>();  // release before the result exists
+  std::vector<int> order(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    order[k] = static_cast<int>(words[k] & 0xffffffffu);
+  }
   return order;
 }
 

@@ -1,16 +1,21 @@
-// spatial_grid.h — uniform hash grid over a point set for radius queries.
+// spatial_grid.h — flat uniform grid over a point set for radius queries.
 //
 // Weight evaluation (Definition 3) repeatedly asks "which tags lie inside
 // this interrogation disk?" and deployment generation asks "which readers
-// interfere with this one?".  A uniform grid keyed by integer cell
-// coordinates answers both in O(points in the query neighborhood) instead of
-// O(n), which matters because the MCS greedy loop evaluates thousands of
-// candidate scheduling sets per run.
+// interfere with this one?".  A uniform grid over the points' bounding box
+// answers both in O(points in the query neighborhood) instead of O(n),
+// which matters because construction runs one query per reader and the MCS
+// greedy loop evaluates thousands of candidate scheduling sets per run.
+//
+// The grid is stored CSR-style: one counting sort groups the points by
+// cell, column-major, so the cells of one x-column are adjacent and a disk
+// query walks one contiguous run of positions (and ids) per column — no
+// hashing, no per-cell allocation (docs/performance.md).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/vec2.h"
@@ -20,10 +25,11 @@ namespace rfid::geom {
 /// Immutable spatial index over a fixed point set.
 ///
 /// Build once from the point positions; `queryDisk` then returns the indices
-/// of all points within a given radius of a center.  The index never stores
-/// copies of the points, only their indices grouped by cell, so it stays
-/// cheap for the paper-scale workloads (1200 tags, 50 readers) and scales to
-/// the stress workloads used by the microbenchmarks (10^5 points).
+/// of all points within a given radius of a center.  The index keeps its own
+/// copy of the positions, in cell order, so the caller's array may be
+/// released after construction.  The cell count is O(points): a bounding box
+/// that is huge relative to `cell_size` grows the cells instead, which only
+/// changes speed — the distance filter is exact, so results never change.
 class SpatialGrid {
  public:
   /// Constructs an index over `points` with the given cell size.
@@ -33,24 +39,40 @@ class SpatialGrid {
   /// the touched cells.  `cell_size` must be > 0.
   SpatialGrid(std::span<const Vec2> points, double cell_size);
 
-  /// Indices of all points p with ‖p − center‖ ≤ radius, in ascending order.
+  /// Indices of all points p with ‖p − center‖² ≤ radius², in ascending order.
   std::vector<int> queryDisk(Vec2 center, double radius) const;
 
   /// Appends the query result to `out` instead of allocating (hot path).
   void queryDisk(Vec2 center, double radius, std::vector<int>& out) const;
 
   /// Number of indexed points.
-  int size() const { return static_cast<int>(points_.size()); }
+  int size() const { return static_cast<int>(ids_.size()); }
 
+  /// The cell size in use: the requested one, or larger when the cell-count
+  /// cap grew it.
   double cellSize() const { return cell_size_; }
 
- private:
-  static std::uint64_t cellKey(std::int64_t cx, std::int64_t cy);
+  /// Number of grid cells (bounded by O(size())).
+  std::size_t numCells() const { return cell_start_.empty() ? 0 : cell_start_.size() - 1; }
 
-  std::vector<Vec2> points_;
+ private:
+  /// Cell coordinate of `v` along an axis whose box starts at `lo`.
+  double cellOf(double v, double lo) const { return std::floor((v - lo) * inv_cell_); }
+
   double cell_size_;
-  // cell -> indices of points inside it
-  std::unordered_map<std::uint64_t, std::vector<int>> cells_;
+  double inv_cell_ = 0.0;
+  Vec2 min_{};          // bounding-box corner, cell (0, 0)
+  std::int64_t nx_ = 0;  // columns
+  std::int64_t ny_ = 0;  // cells per column
+  /// Cell index of a point of the box (column-major).
+  std::size_t cellIndex(Vec2 p) const;
+
+  // Cell c = cx * ny_ + cy holds points k in [cell_start_[c], cell_start_[c+1]),
+  // ascending by id (the counting sort is stable): position pos_[k], index
+  // ids_[k].
+  std::vector<std::uint32_t> cell_start_;
+  std::vector<Vec2> pos_;
+  std::vector<int> ids_;
 };
 
 }  // namespace rfid::geom

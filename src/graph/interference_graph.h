@@ -15,12 +15,15 @@
 
 namespace rfid::graph {
 
-/// Immutable undirected graph with adjacency lists sorted ascending.
+/// Immutable undirected graph with adjacency lists sorted ascending, stored
+/// CSR-style (one offsets array, one flat neighbor array).
 class InterferenceGraph {
  public:
   /// Derives the graph from reader geometry.  This mirrors the paper's RF
   /// site survey: the *construction* uses positions, but consumers of the
-  /// resulting graph never see them.
+  /// resulting graph never see them.  The edges are the System's directed
+  /// interference rows, symmetrised: ‖v_i − v_j‖ ≤ max(R_i, R_j) iff j lies
+  /// in i's row or i in j's.
   explicit InterferenceGraph(const core::System& sys);
 
   /// Builds a graph directly from an edge list (for tests and synthetic
@@ -28,13 +31,17 @@ class InterferenceGraph {
   /// and self-loops are rejected by assertion.
   InterferenceGraph(int num_nodes, std::span<const std::pair<int, int>> edges);
 
-  int numNodes() const { return static_cast<int>(adj_.size()); }
+  int numNodes() const { return static_cast<int>(off_.size()) - 1; }
   int numEdges() const { return num_edges_; }
   std::span<const int> neighbors(int v) const {
-    return adj_[static_cast<std::size_t>(v)];
+    const auto lo = static_cast<std::size_t>(off_[static_cast<std::size_t>(v)]);
+    const auto hi = static_cast<std::size_t>(off_[static_cast<std::size_t>(v) + 1]);
+    return {idx_.data() + lo, hi - lo};
   }
   bool hasEdge(int u, int v) const;
-  int degree(int v) const { return static_cast<int>(adj_[static_cast<std::size_t>(v)].size()); }
+  int degree(int v) const {
+    return off_[static_cast<std::size_t>(v) + 1] - off_[static_cast<std::size_t>(v)];
+  }
   int maxDegree() const;
 
   /// True iff no two members of `X` are adjacent (graph-level feasibility —
@@ -43,7 +50,9 @@ class InterferenceGraph {
   bool isIndependentSet(std::span<const int> X) const;
 
  private:
-  std::vector<std::vector<int>> adj_;
+  // neighbors(v) = idx_[off_[v] .. off_[v+1]), ascending.
+  std::vector<int> off_;
+  std::vector<int> idx_;
   int num_edges_ = 0;
 };
 
