@@ -1,5 +1,6 @@
 // Microbenchmarks for the one-shot schedulers: cost per scheduling decision
-// as the system scales, and the full MCS loop at paper scale.
+// as the system scales, the full MCS loop at paper scale, and the
+// distributed simulator's message plane on its own (BM_ColorwaveRounds).
 //
 // The BM_OneShot* benchmarks run with NO metrics registry attached — they
 // double as the "obs enabled but unsubscribed" overhead measurement against
@@ -10,6 +11,7 @@
 
 #include <memory>
 
+#include "distributed/colorwave.h"
 #include "distributed/growth_distributed.h"
 #include "graph/interference_graph.h"
 #include "obs/metrics.h"
@@ -120,6 +122,25 @@ void BM_FullMcsPaperScale(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullMcsPaperScale);
+
+// Colorwave's 1000 settle rounds on a paper deployment (the sensing graph
+// built once, outside the loop).  Each round is one 2-word COLOR broadcast
+// per reader, so the time is almost all wire: items/s is messages/s through
+// dist::Network.
+void BM_ColorwaveRounds(benchmark::State& state) {
+  const core::System sys =
+      workload::makeSystem(workload::paperScenario(10.0, 4.0), 17);
+  const graph::InterferenceGraph g = graph::buildSensingGraph(sys);
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    dist::ColorwaveScheduler ca(g, 17);
+    ca.runProtocol(1000);
+    benchmark::DoNotOptimize(ca.colors());
+    messages += ca.network().stats().messages;
+  }
+  state.SetItemsProcessed(messages);
+}
+BENCHMARK(BM_ColorwaveRounds);
 
 }  // namespace
 

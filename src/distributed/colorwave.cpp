@@ -20,7 +20,10 @@ enum MsgType : int { kColor = 1 };
 class ColorwaveNode final : public NodeProgram {
  public:
   ColorwaveNode(std::uint64_t seed, const ColorwaveOptions& opt)
-      : opt_(opt), rng_(seed), max_colors_(opt.initial_max_colors) {
+      : opt_(opt),
+        rng_(seed),
+        max_colors_(opt.initial_max_colors),
+        window_(static_cast<std::size_t>(std::max(opt.window, 0))) {
     color_ = rng_.uniformInt(0, max_colors_ - 1);
   }
 
@@ -73,19 +76,16 @@ class ColorwaveNode final : public NodeProgram {
     }
 
     // Sliding collision window drives the safe/unsafe maxColors adaptation.
-    window_.push_back(collided ? 1 : 0);
-    if (static_cast<int>(window_.size()) > opt_.window) window_.erase(window_.begin());
-    if (static_cast<int>(window_.size()) == opt_.window) {
-      int hits = 0;
-      for (const char h : window_) hits += h;
-      const double pct = static_cast<double>(hits) / opt_.window;
+    // It is judged only once full, and restarts empty after every change.
+    if (pushWindow(collided)) {
+      const double pct = static_cast<double>(window_hits_) / opt_.window;
       if (pct > opt_.up_threshold && max_colors_ < opt_.max_colors_cap) {
         ++max_colors_;
-        window_.clear();
+        window_fill_ = window_hits_ = 0;
       } else if (opt_.down_threshold > 0.0 && pct < opt_.down_threshold &&
                  max_colors_ > opt_.min_colors) {
         --max_colors_;
-        window_.clear();
+        window_fill_ = window_hits_ = 0;
         if (color_ >= max_colors_) must_repick = true;
       }
     }
@@ -112,13 +112,35 @@ class ColorwaveNode final : public NodeProgram {
     }
   }
 
+  /// Records one round in the collision ring, overwriting the oldest entry
+  /// once full, and keeps the running hit count.  True when the ring holds
+  /// a full window (never for an empty, disabled one).  A restart needs no
+  /// head reset: `window` writes after it cover every entry.
+  bool pushWindow(bool collided) {
+    if (window_.empty()) return false;
+    char& entry = window_[window_head_];
+    if (window_fill_ == opt_.window) {
+      window_hits_ -= entry;
+    } else {
+      ++window_fill_;
+    }
+    entry = collided ? 1 : 0;
+    window_hits_ += entry;
+    window_head_ = (window_head_ + 1) % window_.size();
+    return window_fill_ == opt_.window;
+  }
+
   ColorwaveOptions opt_;
   workload::Rng rng_;
   int max_colors_;
   int color_;
   int last_priority_ = 0;
   int stable_rounds_ = 0;
+  // Collision ring of the last `window` rounds (1 = collided).
   std::vector<char> window_;
+  std::size_t window_head_ = 0;
+  int window_fill_ = 0;
+  int window_hits_ = 0;
   // Fault hardening state (touched only on a lossy substrate).
   int local_round_ = 0;
   int version_ = 0;

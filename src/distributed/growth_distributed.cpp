@@ -93,11 +93,13 @@ class GrowthNode final : public NodeProgram {
  private:
   int collectRadius() const { return 2 * opt_.c + 2; }
 
-  std::vector<int> encodeInfo(int origin, int weight, int ttl, int epoch,
-                              const std::vector<int>& neighbors,
-                              const std::vector<int>& tags) const {
-    std::vector<int> d;
-    d.reserve(5 + neighbors.size() + 1 + tags.size());
+  /// Encodes an INFO payload into the reused wire buffer; the span is valid
+  /// until the next encode (the broadcast copies it at once).
+  std::span<const int> encodeInfo(int origin, int weight, int ttl, int epoch,
+                                  const std::vector<int>& neighbors,
+                                  const std::vector<int>& tags) {
+    std::vector<int>& d = wire_;
+    d.clear();
     d.push_back(origin);
     d.push_back(weight);
     d.push_back(ttl);
@@ -165,24 +167,24 @@ class GrowthNode final : public NodeProgram {
     blocked_rounds_ = 0;  // any RESULT traffic is protocol progress
     if (seen_results_.count(head) != 0) return;
     seen_results_.insert(head);
-    const int ng = m.data[p++];
-    std::vector<int> gamma(m.data.begin() + static_cast<std::ptrdiff_t>(p),
-                           m.data.begin() + static_cast<std::ptrdiff_t>(p + static_cast<std::size_t>(ng)));
-    p += static_cast<std::size_t>(ng);
-    const int nr = m.data[p++];
-    std::vector<int> removed(m.data.begin() + static_cast<std::ptrdiff_t>(p),
-                             m.data.begin() + static_cast<std::ptrdiff_t>(p + static_cast<std::size_t>(nr)));
+    const auto ng = static_cast<std::size_t>(m.data[p++]);
+    const std::span<const int> gamma = m.data.subspan(p, ng);
+    p += ng;
+    const auto nr = static_cast<std::size_t>(m.data[p++]);
+    const std::span<const int> removed = m.data.subspan(p, nr);
 
     applyResult(gamma, removed);
     if (ttl > 1) {
-      std::vector<int> relay = m.data;
-      relay[1] = ttl - 1;
-      ctx.broadcast(kResult, relay);
+      // m.data is read-only and expires with this round: relay a copy with
+      // the ttl decremented.
+      wire_.assign(m.data.begin(), m.data.end());
+      wire_[1] = ttl - 1;
+      ctx.broadcast(kResult, wire_);
     }
   }
 
-  void applyResult(const std::vector<int>& gamma,
-                   const std::vector<int>& removed) {
+  void applyResult(std::span<const int> gamma,
+                   std::span<const int> removed) {
     for (const int u : removed) removed_.insert(u);
     for (const int u : gamma) {
       removed_.insert(u);
@@ -395,6 +397,8 @@ class GrowthNode final : public NodeProgram {
   int retries_total_ = 0;
   int evictions_ = 0;
   std::vector<int> result_payload_;
+  // Outgoing INFO / relayed RESULT payload, reused across sends.
+  std::vector<int> wire_;
   std::unordered_map<int, int> info_epoch_;
   std::unordered_set<int> evicted_;
 };

@@ -13,14 +13,28 @@
 // else.  Any global scan in a node program is a bug, and the tests enforce
 // delivery discipline (messages only along edges, one-round latency).
 //
+// The message plane allocates nothing per message.  A send or broadcast
+// copies its payload once into the round's send arena (one std::vector<int>
+// of words) and queues one small header {from, to, type, off, len} per
+// recipient, so a broadcast's neighbours share a single payload.  At the
+// round boundary the send and receive arenas swap, and the inbox is built
+// as a CSR over the receive side by a stable counting sort on `to`.
+// Message::data is a span into that frozen receive arena: it is valid only
+// during the onRound call that delivered it, so a program that wants to
+// keep a payload copies it.
+//
 // An optional fault::ChannelModel (attachChannel) makes the substrate
 // lossy: sends may be dropped, duplicated, or delayed extra rounds, and
 // nodes crashed by the fault plan neither execute nor receive.  Quiescence
 // then also requires the delayed queue to drain — a delayed copy still in
-// the pipe is in flight even if every live program is done.
+// the pipe is in flight even if every live program is done.  Delayed copies
+// own their payload until they fall due and are appended to the receive
+// arena.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,15 +47,24 @@
 
 namespace rfid::dist {
 
-/// A message on the wire.  `type` and `data` are algorithm-defined.
+/// A delivered message.  `type` and `data` are algorithm-defined.  `data`
+/// points into the network's receive arena and is valid only inside the
+/// onRound call that delivered it; copy it to keep it.
 struct Message {
   int from = -1;
   int to = -1;
   int type = 0;
-  std::vector<int> data;
+  std::span<const int> data;
 };
 
 class Network;
+
+/// Offset at which `len` payload words land in a word arena that already
+/// holds `used`.  Message headers address the arenas with 32-bit offsets,
+/// so a round that would outgrow them fails closed: throws
+/// std::length_error (the service answers too-large) instead of wrapping
+/// an offset and misdelivering.
+std::uint32_t arenaOffset(std::size_t used, std::size_t len);
 
 /// Per-node view handed to programs each round.
 class Context {
@@ -51,10 +74,20 @@ class Context {
   std::span<const int> neighbors() const { return neighbors_; }
 
   /// Queues a message for delivery next round.  `to` must be a neighbor.
-  void send(int to, int type, std::vector<int> data);
+  /// The payload is copied; `data` may point anywhere, an inbox message's
+  /// data included.  Throws std::length_error when the round's payloads
+  /// would pass 2^32 words.
+  void send(int to, int type, std::span<const int> data);
+  void send(int to, int type, std::initializer_list<int> data) {
+    send(to, type, std::span<const int>(data.begin(), data.size()));
+  }
 
-  /// Sends the same message to every neighbor.
-  void broadcast(int type, const std::vector<int>& data);
+  /// Sends the same message to every neighbor.  The payload is copied once
+  /// and shared by every copy on the wire.
+  void broadcast(int type, std::span<const int> data);
+  void broadcast(int type, std::initializer_list<int> data) {
+    broadcast(type, std::span<const int>(data.begin(), data.size()));
+  }
 
   /// True when a channel model is attached: links may lose, duplicate, or
   /// delay messages and neighbors may be crashed.  Node programs use this
@@ -143,17 +176,48 @@ class Network {
 
  private:
   friend class Context;
-  void enqueue(Message m);
+  /// Copies `data` once into the send arena and queues one copy from
+  /// `from` to each of `targets` (through the channel model when attached).
+  /// Throws std::length_error when the round's payloads would pass 2^32
+  /// words, the reach of a header's 32-bit offset.
+  void post(int from, std::span<const int> targets, int type,
+            std::span<const int> data);
+  /// Round boundary: swaps the arenas, appends the delayed copies now due,
+  /// and builds the CSR inbox.  Returns the deliveries this round (dead
+  /// drops included).
+  std::size_t deliver();
 
+  /// One copy on the wire; its payload is words [off, off+len) of an arena.
+  struct Header {
+    int from;
+    int to;
+    int type;
+    std::uint32_t off;
+    std::uint32_t len;
+  };
   struct Delayed {
     int rounds_left = 0;  // rounds beyond the normal one-round latency
-    Message msg;
+    int from = -1;
+    int to = -1;
+    int type = 0;
+    std::vector<int> data;  // owned: the send arena is cleared before due
   };
 
   const graph::InterferenceGraph* topology_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<Message> in_flight_;   // sent this round, delivered next
+  // Sent this round, delivered next: payload words and one header per copy.
+  std::vector<int> send_words_;
+  std::vector<Header> send_hdr_;
+  // Delivered this round; frozen while programs run (Message::data points
+  // here).
+  std::vector<int> recv_words_;
+  std::vector<Header> recv_hdr_;
+  // CSR inbox over recv_: node v's messages are inbox_[inbox_off_[v] ..
+  // inbox_off_[v+1]), in delivery order.
+  std::vector<Message> inbox_;
+  std::vector<std::size_t> inbox_off_;
   std::vector<Delayed> delayed_;     // channel-deferred, drained by run()
+  std::vector<int> delays_;          // ChannelModel::onSend scratch
   RunStats stats_;
   RunStats totals_;
   obs::MetricsRegistry* metrics_ = nullptr;

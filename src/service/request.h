@@ -31,7 +31,8 @@ enum class Code {
   kNone = 0,          // success
   // Parse layer — the spec never became a request.
   kParse,             // malformed line / missing request framing
-  kTooLarge,          // line, request, or fault block over its hard limit
+  kTooLarge,          // line, request, or fault block over its hard limit;
+                      // or (execution) the deployment did not fit in memory
   kTruncated,         // stream ended mid-request
   kBadValue,          // well-formed line, out-of-range or unknown value
   // Admission layer — parsed, but never queued (all carry retry_after_ms).
@@ -73,9 +74,13 @@ inline constexpr int kMaxRequestLines = 256;
 inline constexpr int kMaxFaultLines = 128;
 inline constexpr std::size_t kMaxIdLen = 64;
 
-/// Value bounds (kBadValue outside them).  The caps double as the OOM
-/// guard: together with the bounded queue they bound the daemon's peak
-/// memory by construction.
+/// Value bounds (kBadValue outside them).  They bound the request, not its
+/// memory: a System's footprint scales with coverage incidences, which a
+/// dense deployment within every cap can push past any host's memory.  The
+/// worker catches the resulting std::bad_alloc (or the std::length_error of
+/// core::System's index-capacity or dist::Network's arena-offset check) and
+/// answers kTooLarge, so the daemon survives; estimating the footprint
+/// before building is not done.
 inline constexpr int kMaxReaders = 20000;
 inline constexpr int kMaxTags = 500000;
 inline constexpr int kMaxDeadlineMs = 86400000;  // 24 h

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -55,6 +57,11 @@ bool interruptibleSleep(int ms, Pred abort) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return !abort();
+}
+
+void removeJournal(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".snap").c_str());
 }
 
 workload::Scenario scenarioFor(const RequestSpec& spec) {
@@ -364,10 +371,7 @@ bool Service::runAttempt(Job& job, Inflight& inf, Response* out) {
     if (!run.ok) {
       // Fail closed, then clear the way: a corrupt or mismatched journal is
       // wiped so the retry starts from a clean slate.
-      if (journaled) {
-        std::remove(setup.path.c_str());
-        std::remove((setup.path + ".snap").c_str());
-      }
+      if (journaled) removeJournal(setup.path);
       out->status = Status::kFailed;
       out->code = Code::kIntegrity;
       out->detail = run.error;
@@ -384,10 +388,7 @@ bool Service::runAttempt(Job& job, Inflight& inf, Response* out) {
       out->status = Status::kOk;
       // The run is done; its journal has served its purpose (and would
       // otherwise make a future same-id submission replay a finished run).
-      if (journaled) {
-        std::remove(setup.path.c_str());
-        std::remove((setup.path + ".snap").c_str());
-      }
+      if (journaled) removeJournal(setup.path);
       out->resumable = false;
       return true;
     }
@@ -450,7 +451,29 @@ Response Service::runJob(Job& job, int slot) {
       m->gauge("svc.inflight").set(static_cast<double>(inflight_n_.load()));
     }
 
-    const bool terminal = runAttempt(job, inf, &r);
+    // A deployment that does not fit in memory (the allocator gives up, or
+    // core::System's index-capacity or dist::Network's arena-offset check
+    // fires) is refused, not fatal: unwinding frees the attempt's
+    // allocations and the worker lives on.  Retrying cannot shrink it, so
+    // the refusal is terminal and its journal goes too.
+    bool terminal = true;
+    const auto refuse = [&](const char* what) {
+      r = Response{};
+      r.id = job.spec.id;
+      r.status = Status::kFailed;
+      r.code = Code::kTooLarge;
+      r.detail = std::string("deployment does not fit in memory: ") + what;
+      if (job.spec.checkpoint && !opt_.checkpoint_dir.empty()) {
+        removeJournal(journalPath(job.spec));
+      }
+    };
+    try {
+      terminal = runAttempt(job, inf, &r);
+    } catch (const std::bad_alloc& e) {
+      refuse(e.what());
+    } catch (const std::length_error& e) {
+      refuse(e.what());
+    }
 
     {
       std::lock_guard<std::mutex> lk(inflight_mu_);

@@ -87,6 +87,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -535,6 +536,13 @@ int main(int argc, char** argv) {
       // The coverage index would overflow its 32-bit arena offsets
       // (core::System fails closed); surface the sizing math as bad usage.
       std::cerr << "invalid --readers/--tags combination: " << e.what() << "\n";
+      std::exit(2);
+    } catch (const std::bad_alloc& e) {
+      // Incidences, not readers+tags, size the index: a dense deployment
+      // can outgrow memory well inside the 2^31 check.
+      std::cerr << "invalid --readers/--tags combination: the deployment "
+                   "does not fit in memory ("
+                << e.what() << ")\n";
       std::exit(2);
     }
   }();
