@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "core/system.h"
@@ -31,6 +32,24 @@ inline std::vector<std::uint64_t> seedRange(std::uint64_t base, int count) {
   for (int i = 0; i < count; ++i) out.push_back(base + static_cast<std::uint64_t>(i));
   return out;
 }
+
+/// FNV-1a accumulator for cross-version pins: folds ints little-endian
+/// byte by byte, so a pin constant depends only on the values mixed in.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void mix64(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= x & 0xffu;
+      h *= 1099511628211ull;
+      x >>= 8;
+    }
+  }
+  void mix(std::int64_t x) { mix64(static_cast<std::uint64_t>(x)); }
+  void mix(std::span<const int> xs) {
+    mix(static_cast<std::int64_t>(xs.size()));
+    for (const int x : xs) mix(x);
+  }
+};
 
 /// std::span has no operator==; materialize for gtest comparisons.
 inline std::vector<int> toVec(std::span<const int> s) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "sched/exact.h"
 #include "sched/ptas.h"
 #include "test_helpers.h"
+#include "workload/scenario.h"
 
 namespace rfid::sched {
 namespace {
@@ -225,6 +227,72 @@ TEST(PtasPromotion, PromotedResultsStayFeasible) {
   const OneShotResult res = ptas.schedule(sys);
   EXPECT_TRUE(sys.isFeasible(res.readers));
   EXPECT_GT(res.weight, 0);
+}
+
+}  // namespace
+}  // namespace rfid::sched
+
+// ---- Cross-version Alg1 pins ----------------------------------------------
+//
+// Alg1 as MCS on §VI paper deployments: every slot's committed set and the
+// solver's weight_evals / dp_entries (which include the B&B node counts) fold
+// into one FNV-1a constant per (λ_r, k, strict_survive).  Both thread counts
+// must land on the same constant, so the pins also hold the shift fan-out's
+// order-independence.  A failing row prints the observed constant.
+namespace rfid::sched {
+namespace {
+
+struct Alg1Pin {
+  double lambda_r;
+  int k;
+  bool strict;
+  std::uint64_t hash;
+};
+
+std::uint64_t alg1McsHash(double lambda_r, int k, bool strict, int threads) {
+  core::System sys =
+      workload::makeSystem(workload::paperScenario(10.0, lambda_r), 3);
+  PtasOptions opt;
+  opt.k = k;
+  opt.strict_survive = strict;
+  opt.num_threads = threads;
+  PtasScheduler ptas(opt);
+  test::Fnv1a h;
+  for (int slot = 0; slot < 400 && sys.unreadCoverableCount() > 0; ++slot) {
+    const OneShotResult res = ptas.schedule(sys);
+    h.mix(res.readers);
+    h.mix(res.weight);
+    h.mix(ptas.lastStats().weight_evals);
+    h.mix(ptas.lastStats().dp_entries);
+    if (res.weight <= 0) break;
+    sys.markRead(sys.wellCoveredTags(res.readers));
+  }
+  return h.h;
+}
+
+TEST(Alg1Pins, McsSlotsAndWorkCounters) {
+  const Alg1Pin pins[] = {
+      {2.0, 2, false, 0x39f0ce516855dd9eull}, {2.0, 2, true, 0x864a6e26aeadb4deull},
+      {2.0, 3, false, 0x1ab2147e9478f773ull}, {2.0, 3, true, 0x4cc8d951475898eeull},
+      {2.0, 4, false, 0xcc7920b42c356096ull}, {2.0, 4, true, 0x58126c4ae4c60190ull},
+      {4.0, 2, false, 0x1fdbee0cd1253780ull}, {4.0, 2, true, 0xbc0f2c1244a05edbull},
+      {4.0, 3, false, 0x8d521669852be8c6ull}, {4.0, 3, true, 0x6082a531dc1e4569ull},
+      {4.0, 4, false, 0x6b3befde763fb9a5ull}, {4.0, 4, true, 0x6aa314beed78b246ull},
+      {7.0, 2, false, 0x485a9477cab6ea52ull}, {7.0, 2, true, 0x032ff1da746f0df1ull},
+      {7.0, 3, false, 0x67174519fd0fdefcull}, {7.0, 3, true, 0xeaf6843050bcebebull},
+      {7.0, 4, false, 0xee5887d998f62a30ull}, {7.0, 4, true, 0xe34498dc20bb94b2ull},
+  };
+  for (const Alg1Pin& pin : pins) {
+    for (const int threads : {1, 4}) {
+      const std::uint64_t got =
+          alg1McsHash(pin.lambda_r, pin.k, pin.strict, threads);
+      char row[96];
+      std::snprintf(row, sizeof row, "{%.1f, %d, %s, 0x%016llxull}",
+                    pin.lambda_r, pin.k, pin.strict ? "true" : "false",
+                    static_cast<unsigned long long>(got));
+      EXPECT_EQ(got, pin.hash) << row << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace
