@@ -448,8 +448,10 @@ struct SpanAgg {
 };
 
 /// Aggregate the span tree by name: inclusive = summed durations,
-/// exclusive = inclusive minus the durations of direct children (resolved
-/// through span_id/parent_id).
+/// exclusive = inclusive minus the part of the span's own interval that the
+/// union of its direct children (resolved through span_id/parent_id)
+/// covers.  Children of a fan-out run concurrently on worker threads, so
+/// subtracting their summed durations would go negative.
 std::vector<SpanAgg> aggregateSpans(const std::vector<ReportEvent>& events) {
   std::unordered_map<std::uint64_t, std::size_t> by_id;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -457,14 +459,42 @@ std::vector<SpanAgg> aggregateSpans(const std::vector<ReportEvent>& events) {
       by_id.emplace(events[i].span_id, i);
     }
   }
+  // (parent, child start, child end), clipped to the parent's interval.
+  struct Cover {
+    std::size_t parent;
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  std::vector<Cover> covers;
+  for (const ReportEvent& e : events) {
+    if (e.dur_us <= 0 || e.parent_id == 0) continue;
+    const auto it = by_id.find(e.parent_id);
+    if (it == by_id.end()) continue;
+    const ReportEvent& p = events[it->second];
+    const std::int64_t lo = std::max(e.ts_us, p.ts_us);
+    const std::int64_t hi = std::min(e.ts_us + e.dur_us, p.ts_us + p.dur_us);
+    if (lo < hi) covers.push_back({it->second, lo, hi});
+  }
+  std::sort(covers.begin(), covers.end(), [](const Cover& a, const Cover& b) {
+    return a.parent != b.parent ? a.parent < b.parent : a.lo < b.lo;
+  });
   std::vector<std::int64_t> excl(events.size(), 0);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].dur_us <= 0) continue;
-    excl[i] += events[i].dur_us;
-    const auto it = by_id.find(events[i].parent_id);
-    if (events[i].parent_id != 0 && it != by_id.end()) {
-      excl[it->second] -= events[i].dur_us;
+    if (events[i].dur_us > 0) excl[i] = events[i].dur_us;
+  }
+  for (std::size_t k = 0; k < covers.size();) {
+    // Merge one parent's sorted child intervals and subtract their union.
+    const std::size_t parent = covers[k].parent;
+    std::int64_t lo = covers[k].lo;
+    std::int64_t hi = covers[k].hi;
+    for (++k; k < covers.size() && covers[k].parent == parent; ++k) {
+      if (covers[k].lo > hi) {
+        excl[parent] -= hi - lo;
+        lo = covers[k].lo;
+      }
+      hi = std::max(hi, covers[k].hi);
     }
+    excl[parent] -= hi - lo;
   }
   std::map<std::string, SpanAgg> agg;
   for (std::size_t i = 0; i < events.size(); ++i) {

@@ -82,8 +82,8 @@ class ColorwaveScheduler final : public sched::OneShotScheduler {
   /// replay recomputes those from scratch; the fingerprint detects drift.
   std::uint64_t stateFingerprint() const override;
 
-  /// Runs `rounds` protocol rounds without drawing a slot (used by tests
-  /// and by the k-coloring channel baseline built on this protocol).
+  /// Runs `rounds` protocol rounds without drawing a slot (tests and the
+  /// message-plane microbenchmark).
   void runProtocol(int rounds) { advance(rounds); }
 
   /// Forwards a fault channel model to the long-lived protocol network;

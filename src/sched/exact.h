@@ -35,8 +35,8 @@ namespace rfid::sched {
 struct LocalProblem {
   /// adj[i] = conflicting candidates (must not be co-selected), ascending.
   std::vector<std::vector<int>> adj;
-  /// coverage[i] = ids of *unread* tags inside candidate i's interrogation
-  /// region.
+  /// coverage[i] = distinct ids of *unread* tags inside candidate i's
+  /// interrogation region.
   std::vector<std::vector<int>> coverage;
   /// Tags already covered by readers selected *outside* this subproblem
   /// (repeat an id to record multiplicity).  The solver then maximizes the
@@ -46,21 +46,36 @@ struct LocalProblem {
   std::vector<int> preload;
 };
 
-/// Reusable allocation arena for the hot local-MWFS path.  Algorithm 2
+/// Reusable allocation arena for the word-parallel search.  Algorithm 2
 /// solves one tiny subproblem per pick (thousands per covering schedule, a
-/// handful of candidates each), where heap churn for the problem rows and
-/// search buffers costs more than the search itself.  Passing the same
-/// scratch across calls keeps every buffer's capacity; results are
-/// bit-identical with and without one (the search never reads stale data).
+/// handful of candidates each) and Algorithm 1 one per leaf square and
+/// shift, where heap churn for the instance rows and search stacks costs
+/// more than the search itself.  Passing the same scratch across calls
+/// keeps every buffer's capacity; results are bit-identical with and
+/// without one (every buffer is re-initialized per instance).
+///
+/// An instance is stored as bitsets over instance-local 64-tag word
+/// *slots*: each candidate's row lists its non-zero (slot, bits) words, and
+/// candidates are relabelled into exploration order so conflicts and the
+/// bound work on candidate bitmasks.
 struct BnbScratch {
-  LocalProblem problem;  // assembled instance; rows keep capacity
-  std::vector<int> ids;  // densification: sorted unique tag ids
-  std::vector<int> count;
-  std::vector<int> conflict;
-  std::vector<int> order;
+  std::vector<core::BitEntry> rows;    // candidate rows, caller order;
+                                       // BitEntry::word holds the slot
+  std::vector<std::uint32_t> row_off;  // n + 1 offsets into rows
+  std::vector<std::uint32_t> words;    // slot → source word, ascending
+  std::vector<std::uint64_t> universe; // per slot: tags some row covers
+  std::vector<std::uint64_t> once;     // per slot: multiplicity ≥ 1
+  std::vector<std::uint64_t> twice;    // per slot: multiplicity ≥ 2
+  std::vector<int> ids;       // LocalProblem tag ids, sorted (dense = rank)
+  std::vector<int> touched;   // slots a LocalProblem row sets
+  std::vector<int> order;     // exploration position → caller index
+  std::vector<int> rank;      // caller index → exploration position
+  std::vector<int> size;      // row popcount by exploration position
+  std::vector<std::uint64_t> adj;      // conflict masks by position
+  std::vector<std::uint64_t> blocked;  // per depth: positions a pick blocks
+  std::vector<std::uint64_t> undo;     // once/twice words saved by pushes
   std::vector<int> chosen;
   std::vector<int> best;
-  std::vector<std::vector<int>> coverage;  // densified candidate rows
 };
 
 struct BnbResult {
@@ -75,12 +90,14 @@ struct BnbResult {
   bool optimal = true;
 };
 
-/// Exact MWFS on a LocalProblem via branch & bound.
-/// Bound: current weight + Σ exclusive-coverage upper bounds of remaining
-/// selectable candidates.  `node_limit` caps the search (≤0 = unlimited).
-/// `cancel` (optional) is polled every few thousand nodes; a fired token
-/// ends the search through the same best-so-far path as the node budget
-/// (`optimal` comes back false).
+/// Exact MWFS on a LocalProblem via branch & bound.  Candidates are
+/// explored in descending row size (stable), include-branch first; a node
+/// is pruned when current weight + min(Σ row sizes of the not-yet-decided
+/// candidates that conflict with no pick, candidate tags covered by
+/// neither a pick nor the preload) cannot beat the incumbent.
+/// `node_limit` caps the search (≤0 = unlimited).  `cancel` (optional) is
+/// polled every 4096 nodes; a fired token ends the search through the same
+/// best-so-far path as the node budget (`optimal` comes back false).
 BnbResult solveLocal(const LocalProblem& problem, std::int64_t node_limit = 0,
                      const ckpt::CancelToken* cancel = nullptr,
                      BnbScratch* scratch = nullptr);

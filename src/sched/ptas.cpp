@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -37,14 +38,17 @@ using geom::SquareKeyHash;
 class ShiftSolver {
  public:
   /// `single_weight` is shift-invariant and shared read-only across the
-  /// parallel shifts; `scratch` must be exclusive to this solver's thread
-  /// (all referee evaluations go through it).
+  /// parallel shifts; `scratch` and `bnb` must be exclusive to this
+  /// solver's thread (all referee evaluations and exact solves go through
+  /// them).
   ShiftSolver(const core::System& sys, const ShiftedGrid& grid,
               const std::vector<Disk>& scaled, const std::vector<int>& level,
               const PtasOptions& opt, PtasScheduler::Stats& stats,
-              std::span<const int> single_weight, core::WeightScratch& scratch)
+              std::span<const int> single_weight, core::WeightScratch& scratch,
+              BnbScratch& bnb)
       : sys_(sys), grid_(grid), scaled_(scaled), level_(level), opt_(opt),
-        stats_(stats), single_weight_(single_weight), scratch_(scratch) {
+        stats_(stats), single_weight_(single_weight), scratch_(scratch),
+        bnb_(bnb) {
     buildForest();
   }
 
@@ -138,14 +142,23 @@ class ShiftSolver {
 
   bool disksIndependent(int i, int j) const { return sys_.independent(i, j); }
 
-  /// Memo key: square + sorted context reader ids.
+  /// Memo key: square + sorted context reader ids.  Lookups go through a
+  /// MemoView over the caller's buffer, so only a miss copies the context.
   struct MemoKey {
     SquareKey sq;
     std::vector<int> ctx;
-    bool operator==(const MemoKey&) const = default;
   };
+  struct MemoView {
+    SquareKey sq;
+    std::span<const int> ctx;
+  };
+  static MemoView view(const MemoKey& k) { return {k.sq, k.ctx}; }
+  static MemoView view(const MemoView& k) { return k; }
   struct MemoKeyHash {
-    std::size_t operator()(const MemoKey& k) const {
+    using is_transparent = void;
+    template <class K>
+    std::size_t operator()(const K& key) const {
+      const MemoView k = view(key);
       std::size_t h = SquareKeyHash{}(k.sq);
       for (const int v : k.ctx) {
         h ^= static_cast<std::size_t>(v) + 0x9e3779b9u + (h << 6) + (h >> 2);
@@ -153,23 +166,48 @@ class ShiftSolver {
       return h;
     }
   };
+  struct MemoKeyEq {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      const MemoView x = view(a);
+      const MemoView y = view(b);
+      return x.sq == y.sq && std::ranges::equal(x.ctx, y.ctx);
+    }
+  };
 
   /// w(x ∪ ctx) − w(ctx), evaluated exactly by the referee.
-  int marginalWeight(std::vector<int> x, const std::vector<int>& ctx,
+  int marginalWeight(const std::vector<int>& x, const std::vector<int>& ctx,
                      int ctx_weight) {
     if (x.empty()) return 0;
     ++stats_.weight_evals;
-    x.insert(x.end(), ctx.begin(), ctx.end());
-    return sys_.weight(x, scratch_) - ctx_weight;
+    eval_buf_.assign(x.begin(), x.end());
+    eval_buf_.insert(eval_buf_.end(), ctx.begin(), ctx.end());
+    return sys_.weight(eval_buf_, scratch_) - ctx_weight;
   }
 
-  Solution solve(const SquareKey& sq, const std::vector<int>& ctx) {
-    const MemoKey key{sq, ctx};
-    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+  /// The memoized solution of square `sq` under context `ctx`.  The
+  /// reference stays valid for the solver's lifetime (memo entries are
+  /// never erased, and rehashing keeps references).
+  const Solution& solve(const SquareKey& sq, const std::vector<int>& ctx) {
+    if (const auto it = memo_.find(MemoView{sq, ctx}); it != memo_.end()) {
+      return it->second;
+    }
     Solution sol = solveNode(nodes_.at(sq), ctx, /*is_virtual_root=*/false);
     ++stats_.dp_entries;
-    memo_.emplace(key, sol);
-    return sol;
+    return memo_.emplace(MemoKey{sq, ctx}, std::move(sol)).first->second;
+  }
+
+  /// Per-depth buffers for dfs: nested solves re-enter dfs while an outer
+  /// frame's child context is still in use, so each frame takes its own
+  /// (a deque keeps references stable as it grows).
+  struct Frame {
+    std::vector<int> completion;
+    std::vector<int> child_ctx;
+  };
+  Frame& acquireFrame() {
+    if (frame_top_ == frames_.size()) frames_.emplace_back();
+    return frames_[frame_top_++];
   }
 
   /// The DP body, shared by real squares and the virtual root.
@@ -188,8 +226,8 @@ class ShiftSolver {
     if (node.children.empty()) {
       // Leaf square: exact branch & bound over the full pool, marginal to
       // the context.  No Λ or pool truncation.
-      BnbResult bnb =
-          maxWeightFeasibleSubset(sys_, pool, opt_.leaf_node_limit, ctx);
+      BnbResult bnb = maxWeightFeasibleSubset(sys_, pool, opt_.leaf_node_limit,
+                                              ctx, nullptr, &bnb_);
       stats_.weight_evals += bnb.nodes;
       return {std::move(bnb.members), bnb.weight};
     }
@@ -198,13 +236,15 @@ class ShiftSolver {
     // local disks by exact B&B, then let each child fill in around them.
     // See PtasOptions::joint_enumeration_cap for the trade-off.
     if (static_cast<int>(pool.size()) > opt_.joint_enumeration_cap) {
-      BnbResult local =
-          maxWeightFeasibleSubset(sys_, pool, opt_.leaf_node_limit, ctx);
+      BnbResult local = maxWeightFeasibleSubset(
+          sys_, pool, opt_.leaf_node_limit, ctx, nullptr, &bnb_);
       stats_.weight_evals += local.nodes;
       Solution sol{std::move(local.members), local.weight};
+      Frame& frame = acquireFrame();
       for (const SquareKey& child : node.children) {
         const Aabb cbox = grid_.squareBox(child);
-        std::vector<int> child_ctx;
+        std::vector<int>& child_ctx = frame.child_ctx;
+        child_ctx.clear();
         for (const int c : ctx) {
           if (scaled_[static_cast<std::size_t>(c)].intersects(cbox)) child_ctx.push_back(c);
         }
@@ -212,11 +252,12 @@ class ShiftSolver {
           if (scaled_[static_cast<std::size_t>(c)].intersects(cbox)) child_ctx.push_back(c);
         }
         std::sort(child_ctx.begin(), child_ctx.end());
-        const Solution sub = solve(child, child_ctx);
+        const Solution& sub = solve(child, child_ctx);
         sol.value += sub.value;
         sol.members.insert(sol.members.end(), sub.members.begin(),
                            sub.members.end());
       }
+      --frame_top_;
       std::sort(sol.members.begin(), sol.members.end());
       return sol;
     }
@@ -264,10 +305,13 @@ class ShiftSolver {
            Solution& best) {
     // Score D ∪ children(D).
     int child_sum = 0;
-    std::vector<int> completion = chosen;
+    Frame& frame = acquireFrame();
+    std::vector<int>& completion = frame.completion;
+    completion.assign(chosen.begin(), chosen.end());
     for (const SquareKey& child : node.children) {
       const Aabb cbox = grid_.squareBox(child);
-      std::vector<int> child_ctx;
+      std::vector<int>& child_ctx = frame.child_ctx;
+      child_ctx.clear();
       for (const int c : ctx) {
         if (scaled_[static_cast<std::size_t>(c)].intersects(cbox)) child_ctx.push_back(c);
       }
@@ -279,7 +323,7 @@ class ShiftSolver {
       // intersect cbox can conflict with none of them (neither center can
       // lie in the other's disk), so the restriction is lossless; the child
       // enforces independence against everything passed down.
-      const Solution sub = solve(child, child_ctx);
+      const Solution& sub = solve(child, child_ctx);
       child_sum += sub.value;
       completion.insert(completion.end(), sub.members.begin(),
                         sub.members.end());
@@ -289,9 +333,10 @@ class ShiftSolver {
     if (value > best.value || best.members.empty()) {
       if (value >= best.value) {
         best.value = value;
-        best.members = std::move(completion);
+        best.members.assign(completion.begin(), completion.end());
       }
     }
+    --frame_top_;  // the recursion below takes frames of its own
 
     if (!is_virtual_root && static_cast<int>(chosen.size()) >= opt_.lambda) {
       return;
@@ -322,10 +367,14 @@ class ShiftSolver {
   PtasScheduler::Stats& stats_;
   std::span<const int> single_weight_;
   core::WeightScratch& scratch_;
+  BnbScratch& bnb_;
   std::unordered_map<SquareKey, Node, SquareKeyHash> nodes_;
   std::vector<SquareKey> roots_;
   std::vector<int> root_pool_;  // disks no square strictly contains
-  std::unordered_map<MemoKey, Solution, MemoKeyHash> memo_;
+  std::unordered_map<MemoKey, Solution, MemoKeyHash, MemoKeyEq> memo_;
+  std::vector<int> eval_buf_;  // marginalWeight's x ∪ ctx
+  std::deque<Frame> frames_;
+  std::size_t frame_top_ = 0;
 };
 
 }  // namespace
@@ -390,6 +439,7 @@ OneShotResult PtasScheduler::schedule(const core::System& sys) {
           int /*worker*/, int lo, int hi) {
         core::WeightScratch scratch;
         sys.initScratch(scratch);
+        BnbScratch bnb;
         for (int idx = lo; idx < hi; ++idx) {
           if (cancelled()) continue;
           ShiftOutcome& out = shifts[static_cast<std::size_t>(idx)];
@@ -409,7 +459,7 @@ OneShotResult PtasScheduler::schedule(const core::System& sys) {
             out.max_level = std::max(out.max_level, level[static_cast<std::size_t>(i)]);
           }
           ShiftSolver solver(sys, grid, scaled, level, opt_, out.stats,
-                             single_weight, scratch);
+                             single_weight, scratch, bnb);
           out.x = solver.solveAll();
           out.w = sys.weight(out.x, scratch);
           ++out.stats.weight_evals;

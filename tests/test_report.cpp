@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/report.h"
 
@@ -65,15 +67,17 @@ constexpr const char* kMetrics = R"({
   }
 })";
 
+// Spans nest in time as a real trace's do: each child's interval lies
+// inside its parent's.
 constexpr const char* kJsonl =
-    "{\"kind\": \"span\", \"name\": \"mcs.run\", \"ts_us\": 100, \"dur_us\": 100, "
+    "{\"kind\": \"span\", \"name\": \"mcs.run\", \"ts_us\": 0, \"dur_us\": 100, "
     "\"tid\": 0, \"span_id\": 1, \"parent_id\": 0, \"args\": {}}\n"
-    "{\"kind\": \"slot\", \"name\": \"mcs.slot\", \"ts_us\": 40, \"dur_us\": 60, "
+    "{\"kind\": \"slot\", \"name\": \"mcs.slot\", \"ts_us\": 10, \"dur_us\": 60, "
     "\"tid\": 0, \"span_id\": 2, \"parent_id\": 1, "
     "\"args\": {\"slot\": 1, \"proposed\": 5, \"delivered\": 30, \"stall\": 0}}\n"
-    "{\"kind\": \"span\", \"name\": \"alg2.schedule\", \"ts_us\": 30, \"dur_us\": 40, "
+    "{\"kind\": \"span\", \"name\": \"alg2.schedule\", \"ts_us\": 20, \"dur_us\": 40, "
     "\"tid\": 0, \"span_id\": 3, \"parent_id\": 2, \"args\": {}}\n"
-    "{\"kind\": \"slot\", \"name\": \"mcs.slot\", \"ts_us\": 90, \"dur_us\": 10, "
+    "{\"kind\": \"slot\", \"name\": \"mcs.slot\", \"ts_us\": 80, \"dur_us\": 10, "
     "\"tid\": 0, \"span_id\": 4, \"parent_id\": 1, "
     "\"args\": {\"slot\": 2, \"proposed\": 4, \"delivered\": 10, \"stall\": 0}}\n";
 
@@ -176,6 +180,43 @@ TEST(ReportRender, SpanTreeExclusiveSubtractsChildren) {
   const std::string tail = text.substr(run_row, text.find('\n', run_row) - run_row);
   EXPECT_NE(tail.find("100"), std::string::npos) << tail;
   EXPECT_NE(tail.find("30"), std::string::npos) << tail;
+}
+
+/// The columns of the span-phase row named `name`.
+std::vector<std::string> spanRow(const std::string& text,
+                                 const std::string& name) {
+  const std::size_t at = text.find("  " + name + " ");
+  if (at == std::string::npos) return {};
+  std::istringstream row(text.substr(at, text.find('\n', at) - at));
+  std::vector<std::string> cols;
+  for (std::string col; row >> col;) cols.push_back(col);
+  return cols;
+}
+
+TEST(ReportRender, ConcurrentChildrenSubtractTheirUnionOnce) {
+  // A fan-out: alg1.schedule [0, 100) with three worker-thread shifts
+  // [5, 50), [5, 95) and [60, 90).  Their durations sum to 165 > 100, but
+  // together they cover [5, 95) of the parent, so its exclusive time is 10.
+  RunTelemetry run;
+  ASSERT_TRUE(loadTraceJsonl(
+      "{\"kind\": \"span\", \"name\": \"alg1.schedule\", \"ts_us\": 0, "
+      "\"dur_us\": 100, \"tid\": 0, \"span_id\": 1, \"parent_id\": 0, \"args\": {}}\n"
+      "{\"kind\": \"span\", \"name\": \"alg1.shift\", \"ts_us\": 5, "
+      "\"dur_us\": 45, \"tid\": 1, \"span_id\": 2, \"parent_id\": 1, \"args\": {}}\n"
+      "{\"kind\": \"span\", \"name\": \"alg1.shift\", \"ts_us\": 5, "
+      "\"dur_us\": 90, \"tid\": 2, \"span_id\": 3, \"parent_id\": 1, \"args\": {}}\n"
+      "{\"kind\": \"span\", \"name\": \"alg1.shift\", \"ts_us\": 60, "
+      "\"dur_us\": 30, \"tid\": 3, \"span_id\": 4, \"parent_id\": 1, \"args\": {}}\n",
+      run));
+  const std::string text = renderReport(run);
+  const std::vector<std::string> parent = spanRow(text, "alg1.schedule");
+  ASSERT_EQ(parent.size(), 4u) << text;
+  EXPECT_EQ(parent[2], "100") << text;  // incl
+  EXPECT_EQ(parent[3], "10") << text;   // excl, not 100 - 165 = -65
+  const std::vector<std::string> shifts = spanRow(text, "alg1.shift");
+  ASSERT_EQ(shifts.size(), 4u) << text;
+  EXPECT_EQ(shifts[1], "3");
+  EXPECT_EQ(shifts[3], "165") << text;  // leaves keep their whole duration
 }
 
 TEST(ReportRender, ComparisonReproducesTheHeadlineRatio) {

@@ -19,7 +19,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 scratch="${1:-$(mktemp -d /tmp/rfidsched-mutants.XXXXXX)}"
 mkdir -p "$scratch"
 
-# Four runs per tree, and a mutant is caught if any exits 5:
+# Six runs per tree, and a mutant is caught if any exits 5:
 #
 #  * a generated instance — small enough to build+run in seconds, big enough
 #    that every mutated code path executes.  GHC keeps the search cheap even
@@ -60,6 +60,11 @@ ref_args="--load $overlap_csv --algo ghc --mode mcs --check --ref-eval"
 # accounting, double acks, and session-persistence windows, escalated to
 # exit 5 under --check.  Only this run executes src/protocol/gen2.cpp.
 gen2_args="--algo ghc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check --link gen2"
+# The generated instance scheduled by Algorithm 2, whose growth picks come
+# from the exact local B&B.  The stream run above schedules with alg2 too,
+# but stream mode's --check arms only the index oracle, not the per-slot
+# validator, so a B&B that returns dependent readers escapes it.
+alg2_args="--algo alg2 --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check"
 
 # name|file|pattern|replacement  (POSIX basic regexps for sed/grep -c)
 mutants=(
@@ -92,6 +97,12 @@ mutants=(
   # and an edge {i, j} with R_i > ‖v_i − v_j‖ > R_j is kept at i and lost
   # at j.  The validator's one-time graph audit against Definition 2 exits 5.
   "intf-graph-one-direction|src/graph/interference_graph.cpp|in_idx.data() + in_off\[v + 1\]}|in_idx.data() + in_off[v]}"
+  # Exact B&B without conflicts: a pick never ORs its conflict mask into the
+  # next depth's blocked set, so the local MWFS co-selects dependent
+  # readers.  Alg2's growth picks come from this search, and the alg2 run's
+  # validator flags the infeasible slot.  ('.' stands for the '|' this
+  # table cannot hold.)
+  "bnb-skip-conflicts|src/sched/exact.cpp|next\[w\] = cur\[w\] . conflicts\[w\];|next[w] = cur[w];"
 )
 
 run_cli() {
@@ -110,7 +121,7 @@ build_and_check() {
     -DRFIDSCHED_BUILD_TESTS=OFF -DRFIDSCHED_BUILD_BENCH=OFF \
     -DRFIDSCHED_BUILD_EXAMPLES=OFF > /dev/null
   cmake --build "$tree/build" --target rfidsched_cli -j > /dev/null
-  local g1 g2 g3 g4 g5
+  local g1 g2 g3 g4 g5 g6
   g1=$(run_cli "$tree" "$gen_args")
   local why="$(tail -1 "$tree/stderr.txt")"
   g2=$(run_cli "$tree" "$overlap_args")
@@ -121,22 +132,25 @@ build_and_check() {
   [ "$g4" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
   g5=$(run_cli "$tree" "$gen2_args")
   [ "$g5" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
-  case "$g1$g2$g3$g4$g5" in *[!05]*)
-    echo "FAIL [$label]: unexpected exits gen=$g1 overlap=$g2 stream=$g3 ref=$g4 gen2=$g5" >&2
+  g6=$(run_cli "$tree" "$alg2_args")
+  [ "$g6" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
+  local exits="gen=$g1 overlap=$g2 stream=$g3 ref=$g4 gen2=$g5 alg2=$g6"
+  case "$g1$g2$g3$g4$g5$g6" in *[!05]*)
+    echo "FAIL [$label]: unexpected exits $exits" >&2
     sed 's/^/    /' "$tree/stderr.txt" >&2
     return 1
   esac
   if [ "$want" -eq 5 ]; then
-    if [ "$g1" -ne 5 ] && [ "$g2" -ne 5 ] && [ "$g3" -ne 5 ] && [ "$g4" -ne 5 ] && [ "$g5" -ne 5 ]; then
-      echo "FAIL [$label]: mutant escaped (gen=$g1 overlap=$g2 stream=$g3 ref=$g4 gen2=$g5)" >&2
+    if [ "$g1" -ne 5 ] && [ "$g2" -ne 5 ] && [ "$g3" -ne 5 ] && [ "$g4" -ne 5 ] && [ "$g5" -ne 5 ] && [ "$g6" -ne 5 ]; then
+      echo "FAIL [$label]: mutant escaped ($exits)" >&2
       return 1
     fi
-  elif [ "$g1" -ne 0 ] || [ "$g2" -ne 0 ] || [ "$g3" -ne 0 ] || [ "$g4" -ne 0 ] || [ "$g5" -ne 0 ]; then
-    echo "FAIL [$label]: clean tree flagged (gen=$g1 overlap=$g2 stream=$g3 ref=$g4 gen2=$g5)" >&2
+  elif [ "$g1" -ne 0 ] || [ "$g2" -ne 0 ] || [ "$g3" -ne 0 ] || [ "$g4" -ne 0 ] || [ "$g5" -ne 0 ] || [ "$g6" -ne 0 ]; then
+    echo "FAIL [$label]: clean tree flagged ($exits)" >&2
     sed 's/^/    /' "$tree/stderr.txt" >&2
     return 1
   fi
-  echo "ok   [$label]: gen=$g1 overlap=$g2 stream=$g3 ref=$g4 gen2=$g5 ($why)"
+  echo "ok   [$label]: $exits ($why)"
 }
 
 copy_tree() {
